@@ -13,6 +13,7 @@ import time
 from collections.abc import Sequence
 
 from repro.analysis.diagnostics import AnalysisReport
+from repro.analysis.model_scan import ModelScan
 from repro.analysis.rules import (
     ModelRule,
     SpecContext,
@@ -56,10 +57,16 @@ def analyze_model(
     *,
     rules: Sequence[ModelRule] | None = None,
 ) -> AnalysisReport:
-    """Run the model-level rules over a built MILP."""
+    """Run the model-level rules over a built MILP.
+
+    The rules share one array pass over the model's standard form
+    (:class:`~repro.analysis.model_scan.ModelScan`); the form itself is
+    the cached one the solver backends read next.
+    """
     report = AnalysisReport()
     start = time.perf_counter()
+    scan = ModelScan(model)
     for rule in model_rules() if rules is None else rules:
-        report.extend(rule.check(model))
+        report.extend(rule.check_scan(scan))
     report.seconds = time.perf_counter() - start
     return report

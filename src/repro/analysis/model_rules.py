@@ -1,60 +1,29 @@
 """Model-level analysis rules: a built MILP before the solver sees it.
 
-All rules here are interval-arithmetic passes over the variable bounds
-and constraint rows — O(nonzeros) each, no LP relaxation required.  They
-catch the model-construction bugs that otherwise surface as an opaque
+All rules here are interval-arithmetic checks over the variable bounds
+and constraint rows, read from one shared array pass
+(:class:`~repro.analysis.model_scan.ModelScan`) over the model's standard
+form — no per-row Python loop, no LP relaxation.  They catch the
+model-construction bugs that otherwise surface as an opaque
 ``infeasible`` (or as silent slack): contradictory bounds, rows no
 assignment can satisfy, rows implied by the bounds alone, variables the
 model never constrains, big-M constants larger than the tightest value
-the bounds imply, and duplicated left-hand sides.
+the bounds imply, and duplicated left-hand sides.  Python work is left
+to formatting the findings.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.model_scan import ModelScan, tolerance
 from repro.analysis.rules import ModelRule, model_rule
-from repro.milp.expr import Constraint, Var
-from repro.milp.model import Model
 
 _INF = float("inf")
-
-
-def _tol(reference: float) -> float:
-    """Feasibility tolerance scaled to the magnitude of ``reference``."""
-    if math.isinf(reference):
-        return 1e-9
-    return 1e-9 * max(1.0, abs(reference))
-
-
-def _row_location(index: int, constraint: Constraint) -> str:
-    if constraint.name:
-        return f"row {constraint.name!r}"
-    return f"row #{index}"
-
-
-def _valid_indices(coeffs: dict[int, float], n: int) -> bool:
-    return all(0 <= idx < n for idx in coeffs)
-
-
-def _activity(
-    coeffs: dict[int, float], variables: list[Var]
-) -> tuple[float, float]:
-    """Interval of ``sum(coeff * var)`` over the variable bounds."""
-    lo = hi = 0.0
-    for idx, coeff in coeffs.items():
-        if coeff == 0.0:
-            continue
-        var = variables[idx]
-        if coeff > 0.0:
-            lo += coeff * var.lower
-            hi += coeff * var.upper
-        else:
-            lo += coeff * var.upper
-            hi += coeff * var.lower
-    return lo, hi
 
 
 @model_rule
@@ -70,22 +39,29 @@ class VariableBoundsRule(ModelRule):
     )
     hint = "fix the bounds where the variable is created"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        for var in model.variables:
-            if math.isnan(var.lower) or math.isnan(var.upper):
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        lower, upper = scan.form.x_lower, scan.form.x_upper
+        nan = np.isnan(lower) | np.isnan(upper)
+        crossed = lower > upper
+        unbounded_integer = (
+            (scan.form.integrality == 1) & ~scan.binary
+            & (np.isinf(lower) | np.isinf(upper))
+        )
+        variables = scan.model.variables
+        for j in np.flatnonzero(nan | crossed | unbounded_integer).tolist():
+            var = variables[j]
+            if nan[j]:
                 yield self.diagnostic(
                     f"bound is NaN: [{var.lower}, {var.upper}]",
                     location=f"var {var.name!r}", variable=var.name,
                 )
-            elif var.lower > var.upper:
+            elif crossed[j]:
                 yield self.diagnostic(
                     f"lower bound {var.lower:g} exceeds upper bound "
                     f"{var.upper:g}: the domain is empty",
                     location=f"var {var.name!r}", variable=var.name,
                 )
-            elif var.is_integer and not var.is_binary and (
-                math.isinf(var.lower) or math.isinf(var.upper)
-            ):
+            else:
                 yield self.diagnostic(
                     f"general integer variable is unbounded "
                     f"([{var.lower:g}, {var.upper:g}]); branch-and-bound "
@@ -110,20 +86,16 @@ class ForeignVariableRule(ModelRule):
     )
     hint = "create all variables on the model the constraint is added to"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
-            bad = sorted(
-                idx for idx in constraint.expr.coeffs if not 0 <= idx < n
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        n = len(scan.model.variables)
+        for i, bad in scan.foreign_rows.items():
+            yield self.diagnostic(
+                f"references variable index(es) {bad} but the model "
+                f"has {n} variable(s)",
+                location=scan.location(i),
+                indices=bad,
             )
-            if bad:
-                yield self.diagnostic(
-                    f"references variable index(es) {bad} but the model "
-                    f"has {n} variable(s)",
-                    location=_row_location(i, constraint),
-                    indices=bad,
-                )
-        bad = sorted(idx for idx in model.objective.coeffs if not 0 <= idx < n)
+        bad = scan.foreign_objective
         if bad:
             yield self.diagnostic(
                 f"objective references variable index(es) {bad} but the "
@@ -149,33 +121,38 @@ class TrivialInfeasibilityRule(ModelRule):
         "requirement or the bounds that make it impossible"
     )
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not _valid_indices(coeffs, n):
-                continue  # model.foreign-variable already fired
-            where = _row_location(i, constraint)
-            if lo > hi + _tol(hi):
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        lo, hi = scan.form.b_lower, scan.form.b_upper
+        act_lo, act_hi = scan.declared_activity
+        with np.errstate(invalid="ignore"):
+            upper_limit = hi + tolerance(hi)
+            lower_limit = lo - tolerance(lo)
+        crossed = lo > upper_limit
+        attainable = ~crossed & ~(np.isnan(act_lo) | np.isnan(act_hi))
+        too_high = attainable & (act_lo > upper_limit)
+        too_low = attainable & ~too_high & (act_hi < lower_limit)
+        for k in np.flatnonzero(crossed | too_high | too_low).tolist():
+            i = int(scan.row_ids[k])
+            where = scan.location(i)
+            lo_k, hi_k = float(lo[k]), float(hi[k])
+            activity = (float(act_lo[k]), float(act_hi[k]))
+            if crossed[k]:
                 yield self.diagnostic(
-                    f"row bounds are crossed: lower {lo:g} > upper {hi:g}",
+                    f"row bounds are crossed: lower {lo_k:g} > upper "
+                    f"{hi_k:g}",
                     location=where, row=i,
                 )
-                continue
-            act_lo, act_hi = _activity(coeffs, model.variables)
-            if math.isnan(act_lo) or math.isnan(act_hi):
-                continue
-            if act_lo > hi + _tol(hi):
+            elif too_high[k]:
                 yield self.diagnostic(
-                    f"smallest attainable activity {act_lo:g} already "
-                    f"exceeds the upper bound {hi:g}",
-                    location=where, row=i, activity=(act_lo, act_hi),
+                    f"smallest attainable activity {activity[0]:g} already "
+                    f"exceeds the upper bound {hi_k:g}",
+                    location=where, row=i, activity=activity,
                 )
-            elif act_hi < lo - _tol(lo):
+            else:
                 yield self.diagnostic(
-                    f"largest attainable activity {act_hi:g} cannot reach "
-                    f"the lower bound {lo:g}",
-                    location=where, row=i, activity=(act_lo, act_hi),
+                    f"largest attainable activity {activity[1]:g} cannot "
+                    f"reach the lower bound {lo_k:g}",
+                    location=where, row=i, activity=activity,
                 )
 
 
@@ -192,23 +169,28 @@ class VacuousConstraintRule(ModelRule):
     )
     hint = "drop the row; it only inflates the matrix"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        n = len(model.variables)
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not coeffs or not _valid_indices(coeffs, n):
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        lo, hi = scan.form.b_lower, scan.form.b_upper
+        act_lo, act_hi = scan.declared_activity
+        with np.errstate(invalid="ignore"):
+            lower_ok = (lo == -_INF) | (act_lo >= lo - tolerance(lo))
+            upper_ok = (hi == _INF) | (act_hi <= hi + tolerance(hi))
+        vacuous = (
+            lower_ok & upper_ok & ~(np.isnan(act_lo) | np.isnan(act_hi))
+        )
+        constraints = scan.model.constraints
+        for k in np.flatnonzero(vacuous).tolist():
+            i = int(scan.row_ids[k])
+            # A row whose terms all have zero coefficients still counts;
+            # only a row without terms is skipped.
+            if not scan.row_nnz[k] and not constraints[i].expr.coeffs:
                 continue
-            act_lo, act_hi = _activity(coeffs, model.variables)
-            if math.isnan(act_lo) or math.isnan(act_hi):
-                continue
-            lower_ok = lo == -_INF or act_lo >= lo - _tol(lo)
-            upper_ok = hi == _INF or act_hi <= hi + _tol(hi)
-            if lower_ok and upper_ok:
-                yield self.diagnostic(
-                    f"activity range [{act_lo:g}, {act_hi:g}] always lies "
-                    f"within the row bounds [{lo:g}, {hi:g}]",
-                    location=_row_location(i, constraint), row=i,
-                )
+            yield self.diagnostic(
+                f"activity range [{float(act_lo[k]):g}, "
+                f"{float(act_hi[k]):g}] always lies within the row bounds "
+                f"[{float(lo[k]):g}, {float(hi[k]):g}]",
+                location=scan.location(i), row=i,
+            )
 
 
 @model_rule
@@ -224,23 +206,23 @@ class UnusedVariableRule(ModelRule):
     )
     hint = "remove the variables or wire them into the model"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        used: set[int] = {
-            idx for idx, coeff in model.objective.coeffs.items()
-            if coeff != 0.0
-        }
-        for constraint in model.constraints:
-            for idx, coeff in constraint.expr.coeffs.items():
-                if coeff != 0.0:
-                    used.add(idx)
-        unused = [var.name for var in model.variables if var.index not in used]
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        variables = scan.model.variables
+        n = len(variables)
+        used = scan.form.c != 0.0
+        used[scan.form.a_matrix.indices] = True
+        for i in scan.foreign_rows:
+            for idx, coeff in scan.model.constraints[i].expr.coeffs.items():
+                if coeff != 0.0 and 0 <= idx < n:
+                    used[idx] = True
+        unused = [variables[j].name for j in np.flatnonzero(~used).tolist()]
         if unused:
             shown = ", ".join(unused[:8])
             if len(unused) > 8:
                 shown += f", ... ({len(unused) - 8} more)"
             yield self.diagnostic(
                 f"{len(unused)} variable(s) unused: {shown}",
-                location=f"model {model.name!r}",
+                location=f"model {scan.model.name!r}",
                 variables=unused,
             )
 
@@ -259,6 +241,10 @@ class LooseBigMRule(ModelRule):
     territory), and no M-shrinking advice applies.  With propagated
     bounds the tightest implied constant collapses to ~0 there and the
     rule stays silent.
+
+    Propagation can only acquit, so it runs only when the declared
+    bounds already convict some row — models without a loose-looking
+    indicator row never pay for the fixpoint.
     """
 
     rule_id = "model.loose-big-m"
@@ -276,87 +262,88 @@ class LooseBigMRule(ModelRule):
     _ABS_SLACK = 1e-4
     _REL_SLACK = 0.01
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        # Deferred import: the presolve package imports the diagnostics
-        # types from this package's siblings.
-        from repro.analysis.presolve import propagated_bounds
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        lo, hi = scan.form.b_lower, scan.form.b_upper
+        # Normalize one-sided rows to `sum(d * x) >= bound` form: d = a
+        # for `a.x >= lo`, d = -a for `a.x <= hi`.
+        lower_sided = (lo != -_INF) & (hi == _INF)
+        upper_sided = (lo == -_INF) & (hi != _INF)
+        # Big-M analysis targets the classic indicator shape: exactly
+        # one binary relaxing a bound over a continuous expression.
+        # Rows with several binaries (device-selection hulls) or none
+        # couple through other constraints (assignment equalities),
+        # which interval analysis cannot see, so they are skipped to
+        # avoid false positives.
+        rows, cols, coeffs = scan.terms
+        on_binary = scan.binary[cols]
+        m = lo.shape[0]
+        binaries = np.bincount(rows[on_binary], minlength=m)
+        others = np.bincount(rows[~on_binary], minlength=m)
+        indicator = (
+            (lower_sided | upper_sided) & (binaries == 1) & (others > 0)
+        )
+        if not indicator.any():
+            return
+        binary_col = np.zeros(m, dtype=np.int64)
+        big_m = np.zeros(m)
+        binary_col[rows[on_binary]] = cols[on_binary]
+        big_m[rows[on_binary]] = np.abs(coeffs[on_binary])
+        with np.errstate(invalid="ignore"):
+            bound = np.where(lower_sided, lo, -hi)
+            # At the binary's relaxing value the row must hold for every
+            # assignment; slack beyond that proves the constant is larger
+            # than needed.  The *declared* bounds decide whether the
+            # constant looks like a modelling bug.
+            act_lo = _normalized_min(lower_sided, scan.declared_activity)
+            slack = act_lo + big_m - bound
+            tightest = big_m - slack
+            relative = self._REL_SLACK * big_m
+            loose = (
+                indicator & np.isfinite(act_lo) & np.isfinite(bound)
+                & (slack > np.where(relative > self._ABS_SLACK, relative,
+                                    self._ABS_SLACK))
+                & (tightest > self._ABS_SLACK)
+            )
+            if not loose.any():
+                return
+            # The propagated bounds can only acquit: when they show the
+            # indicator side is vacuous (the row holds for either binary
+            # value given what the other rows force), the right fix is
+            # deleting the row, not shrinking M, so the finding is
+            # suppressed as a false positive.
+            prop_lo = _normalized_min(lower_sided, scan.propagated_activity)
+            prop_tightest = big_m - (prop_lo + big_m - bound)
+            acquitted = np.isfinite(prop_lo) & (
+                prop_tightest <= self._ABS_SLACK
+            )
+        variables = scan.model.variables
+        for k in np.flatnonzero(loose & ~acquitted).tolist():
+            i = int(scan.row_ids[k])
+            var = variables[int(binary_col[k])]
+            yield self.diagnostic(
+                f"coefficient {float(big_m[k]):g} on binary "
+                f"{var.name!r} exceeds the tightest implied "
+                f"big-M {float(tightest[k]):g}",
+                location=scan.location(i),
+                row=i,
+                variable=var.name,
+                coefficient=float(big_m[k]),
+                tightest=float(tightest[k]),
+            )
 
-        n = len(model.variables)
-        if n:
-            prop_lower, prop_upper, _ = propagated_bounds(model)
-        else:
-            prop_lower, prop_upper = [], []
-        for i, constraint in enumerate(model.constraints):
-            coeffs, lo, hi = constraint.normalized()
-            if not _valid_indices(coeffs, n):
-                continue
-            # Normalize one-sided rows to `sum(d * x) >= bound` form.
-            if lo != -_INF and hi == _INF:
-                d, bound = coeffs, lo
-            elif lo == -_INF and hi != _INF:
-                d = {idx: -c for idx, c in coeffs.items()}
-                bound = -hi
-            else:
-                continue
-            # Big-M analysis targets the classic indicator shape: exactly
-            # one binary relaxing a bound over a continuous expression.
-            # Rows with several binaries (device-selection hulls) or none
-            # couple through other constraints (assignment equalities),
-            # which interval analysis cannot see, so they are skipped to
-            # avoid false positives.
-            binaries = []
-            has_continuous = False
-            for idx, coeff in d.items():
-                if coeff == 0.0:
-                    continue
-                var = model.variables[idx]
-                if var.is_binary:
-                    binaries.append((var, coeff))
-                else:
-                    has_continuous = True
-            if len(binaries) != 1 or not has_continuous:
-                continue
-            act_lo, _ = _activity(d, model.variables)
-            prop_act_lo = 0.0
-            for idx, coeff in d.items():
-                if coeff == 0.0:
-                    continue
-                prop_act_lo += coeff * (
-                    prop_lower[idx] if coeff > 0.0 else prop_upper[idx]
-                )
-            if not math.isfinite(act_lo) or not math.isfinite(bound):
-                continue
-            for var, coeff in binaries:
-                # At the binary's relaxing value the row must hold for
-                # every assignment; slack beyond that proves the constant
-                # is larger than needed.  The *declared* bounds decide
-                # whether the constant looks like a modelling bug; the
-                # propagated bounds can only acquit — when they show the
-                # indicator side is vacuous (the row holds for either
-                # binary value given what the other rows force), the
-                # right fix is deleting the row, not shrinking M, so the
-                # finding is suppressed as a false positive.
-                slack = act_lo + abs(coeff) - bound
-                tightest = abs(coeff) - slack
-                prop_tightest = abs(coeff) - (
-                    prop_act_lo + abs(coeff) - bound
-                )
-                if math.isfinite(prop_act_lo) and (
-                    prop_tightest <= self._ABS_SLACK
-                ):
-                    continue
-                if (slack > max(self._ABS_SLACK, self._REL_SLACK * abs(coeff))
-                        and tightest > self._ABS_SLACK):
-                    yield self.diagnostic(
-                        f"coefficient {abs(coeff):g} on binary "
-                        f"{var.name!r} exceeds the tightest implied "
-                        f"big-M {tightest:g}",
-                        location=_row_location(i, constraint),
-                        row=i,
-                        variable=var.name,
-                        coefficient=abs(coeff),
-                        tightest=tightest,
-                    )
+
+def _normalized_min(
+    lower_sided: npt.NDArray[np.bool_],
+    activity: tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]],
+) -> npt.NDArray[np.float64]:
+    """Minimum of ``d.x``: the row's minimum, or minus its maximum.
+
+    Negating every term of a sum negates the sum exactly (IEEE rounding
+    is sign-symmetric), so ``-max(a.x)`` is the left-to-right sum over
+    ``d = -a`` up to the sign of a zero result, which no threshold sees.
+    """
+    low, high = activity
+    return np.where(lower_sided, low, -high)
 
 
 @model_rule
@@ -372,27 +359,94 @@ class DuplicateRowRule(ModelRule):
     )
     hint = "merge the rows into a single range constraint"
 
-    def check(self, model: Model) -> Iterator[Diagnostic]:
-        groups: dict[tuple[tuple[int, float], ...], list[int]] = {}
-        rows = model.constraints
-        for i, constraint in enumerate(rows):
-            coeffs = constraint.normalized()[0]
-            signature = tuple(
-                sorted((idx, c) for idx, c in coeffs.items() if c != 0.0)
-            )
-            if signature:
-                groups.setdefault(signature, []).append(i)
-        for indices in groups.values():
-            if len(indices) < 2:
-                continue
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        constraints = scan.model.constraints
+        for indices in _duplicate_groups(scan):
             names = [
-                rows[i].name or f"#{i}" for i in indices[:4]
+                constraints[i].name or f"#{i}" for i in indices[:4]
             ]
             shown = ", ".join(names)
             if len(indices) > 4:
                 shown += f", ... ({len(indices) - 4} more)"
             yield self.diagnostic(
                 f"{len(indices)} rows share one left-hand side: {shown}",
-                location=_row_location(indices[0], rows[indices[0]]),
-                rows=list(indices),
+                location=scan.location(indices[0]),
+                rows=indices,
             )
+
+
+def _duplicate_groups(scan: ModelScan) -> list[list[int]]:
+    """Model rows sharing one left-hand side, grouped, in row order.
+
+    A row's left-hand side is its set of ``(column, coefficient)``
+    nonzeros — one canonical CSR row.  Each row is hashed by summing a
+    64-bit mix of its entries (wrapping integer sums, so order-free and
+    exact), rows are bucketed by ``(hash, nonzero count)``, and only
+    buckets of two or more rows are compared entry by entry.  Rows with
+    a NaN coefficient never equal another row.  Foreign rows take part
+    through their nonzeros as written (their foreign indices included).
+    """
+    a = scan.form.a_matrix
+    indptr = a.indptr.astype(np.int64)
+    cols = a.indices.astype(np.int64)
+    vals = a.data
+    ids = scan.row_ids
+    if scan.foreign_rows:
+        extra_cols: list[int] = []
+        extra_vals: list[float] = []
+        extra_nnz: list[int] = []
+        for i in scan.foreign_rows:
+            terms = sorted(
+                (idx, coeff)
+                for idx, coeff in scan.model.constraints[i].expr.coeffs.items()
+                if coeff != 0.0
+            )
+            extra_cols.extend(idx for idx, _ in terms)
+            extra_vals.extend(coeff for _, coeff in terms)
+            extra_nnz.append(len(terms))
+        cols = np.concatenate([cols, np.array(extra_cols, dtype=np.int64)])
+        vals = np.concatenate([vals, np.array(extra_vals, dtype=float)])
+        indptr = np.concatenate(
+            [indptr, indptr[-1] + np.cumsum(extra_nnz, dtype=np.int64)]
+        )
+        ids = np.concatenate(
+            [ids, np.array(list(scan.foreign_rows), dtype=np.int64)]
+        )
+    nnz = np.diff(indptr)
+    rows = np.repeat(np.arange(nnz.shape[0]), nnz)
+    mixed = np.zeros(cols.shape[0] + 1, dtype=np.uint64)
+    np.cumsum(_mix(cols, vals), out=mixed[1:])
+    row_hash = mixed[indptr[1:]] - mixed[indptr[:-1]]
+    has_nan = np.bincount(rows[np.isnan(vals)], minlength=nnz.shape[0]) > 0
+    eligible = np.flatnonzero((nnz > 0) & ~has_nan)
+    order = eligible[np.lexsort((nnz[eligible], row_hash[eligible]))]
+    same = (row_hash[order[1:]] == row_hash[order[:-1]]) & (
+        nnz[order[1:]] == nnz[order[:-1]]
+    )
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    ends = np.append(starts[1:], order.shape[0])
+    shared = ends - starts > 1
+    groups: list[list[int]] = []
+    for start, end in zip(starts[shared].tolist(), ends[shared].tolist()):
+        exact: dict[bytes, list[int]] = {}
+        for r in order[start:end].tolist():
+            lo, hi = indptr[r], indptr[r + 1]
+            key = cols[lo:hi].tobytes() + vals[lo:hi].tobytes()
+            exact.setdefault(key, []).append(int(ids[r]))
+        groups.extend(
+            sorted(members) for members in exact.values() if len(members) > 1
+        )
+    groups.sort()
+    return groups
+
+
+def _mix(
+    cols: npt.NDArray[np.int64], vals: npt.NDArray[np.float64],
+) -> npt.NDArray[np.uint64]:
+    """A 64-bit hash of each ``(column, coefficient)`` entry (splitmix64)."""
+    x = vals.view(np.uint64) ^ (
+        cols.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    )
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))

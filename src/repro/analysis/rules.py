@@ -5,7 +5,8 @@ inputs — template, requirements, library — before encoding) or
 :class:`ModelRule` (checks a built :class:`~repro.milp.model.Model`
 before solving), fill in the class metadata (``rule_id``, severity,
 trigger example and fix hint — the same strings ``docs/diagnostics.md``
-catalogs), implement ``check`` as a generator of
+catalogs), implement ``check`` (``check_scan`` for model rules, over the
+shared array pass) as a generator of
 :class:`~repro.analysis.diagnostics.Diagnostic`, and register it with the
 ``@spec_rule`` / ``@model_rule`` decorator.  The analyzer entry points in
 :mod:`repro.analysis.analyzer` run every registered rule.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.model_scan import ModelScan
 from repro.library.catalog import Library
 from repro.milp.model import Model
 from repro.network.requirements import (
@@ -112,11 +114,21 @@ class SpecRule(Rule):
 
 
 class ModelRule(Rule):
-    """A rule over a built MILP model."""
+    """A rule over a built MILP model.
+
+    Model rules read the model through one shared array pass
+    (:class:`~repro.analysis.model_scan.ModelScan`) that
+    :func:`~repro.analysis.analyzer.analyze_model` builds once for all
+    of them; ``check`` builds a scan for a single rule.
+    """
 
     @abc.abstractmethod
+    def check_scan(self, scan: ModelScan) -> Iterator[Diagnostic]:
+        """Yield findings from the model's array pass."""
+
     def check(self, model: Model) -> Iterator[Diagnostic]:
         """Yield findings for the given model."""
+        return self.check_scan(ModelScan(model))
 
 
 _SPEC_RULES: dict[str, SpecRule] = {}

@@ -119,9 +119,12 @@ class RoutingEncoder(abc.ABC):
         incident: dict[int, list[Var]] = {}
         for (u, v), e_var in encoding.edge_active.items():
             uses = encoding.edge_uses.get((u, v), [])
-            for k, use in enumerate(uses):
-                model.add(e_var >= use, f"e[{u},{v}]:ge_use{k}")
-            if uses:
+            if len(uses) == 1:
+                # ge_use0 and le_uses would share one left-hand side.
+                model.add(e_var == uses[0], f"e[{u},{v}]:eq_use")
+            elif uses:
+                for k, use in enumerate(uses):
+                    model.add(e_var >= use, f"e[{u},{v}]:ge_use{k}")
                 model.add(e_var <= lin_sum(uses), f"e[{u},{v}]:le_uses")
             else:
                 model.add(e_var <= 0, f"e[{u},{v}]:unused")

@@ -90,25 +90,31 @@ class CSRGraph:
         """Compile ``graph`` into CSR form (nodes in insertion order)."""
         nodes = list(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        m = graph.edge_count
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for u, _v, _w in graph.edges():
-            counts[index[u] + 1] += 1
-        indptr = np.cumsum(counts)
-        indices = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        edge_slot: dict[tuple[int, int], int] = {}
-        fill = indptr[:-1].copy()
-        for u, v, w in graph.edges():
-            ui = index[u]
-            vi = index[v]
-            slot = int(fill[ui])
-            fill[ui] += 1
-            indices[slot] = vi
-            weights[slot] = w
-            edge_slot[(ui, vi)] = slot
-        return cls(nodes, index, indptr, indices, weights, edge_slot)
+        edges = list(graph.edges())
+        m = len(edges)
+        tails = np.fromiter((index[u] for u, _v, _w in edges), np.int64, m)
+        heads = np.fromiter((index[v] for _u, v, _w in edges), np.int64, m)
+        weights = np.fromiter((w for _u, _v, w in edges), np.float64, m)
+        return cls._from_edges(nodes, index, tails, heads, weights)
+
+    @classmethod
+    def _from_edges(
+        cls,
+        nodes: list[Node],
+        index: dict[Node, int],
+        tails: np.ndarray,
+        heads: np.ndarray,
+        weights: np.ndarray,
+    ) -> CSRGraph:
+        """The view of index-space edges; each row keeps the edges' order."""
+        order = np.argsort(tails, kind="stable")
+        tails, heads, weights = tails[order], heads[order], weights[order]
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=len(nodes)), out=indptr[1:])
+        edge_slot = dict(zip(
+            zip(tails.tolist(), heads.tolist()), range(heads.shape[0]),
+        ))
+        return cls(nodes, index, indptr, heads, weights, edge_slot)
 
     @property
     def node_count(self) -> int:
@@ -163,6 +169,19 @@ class CSRGraph:
         """Translate an index path back to original node objects."""
         nodes = self.nodes
         return [nodes[i] for i in idx_path]
+
+    def reversed(self) -> CSRGraph:
+        """The view of the reverse graph: every edge flipped, same nodes.
+
+        Node interning is shared with this view, so index-space results
+        of the two views line up.
+        """
+        tails = np.repeat(
+            np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr)
+        )
+        return CSRGraph._from_edges(
+            self.nodes, self.index, self.indices, tails, self.weights,
+        )
 
 
 def csr_of(graph: DiGraph) -> CSRGraph:
@@ -235,6 +254,22 @@ def _run_dijkstra(
         for v, val in zip(vs.tolist(), nds.tolist()):
             push(heap, (val, v))
     return dist, prev
+
+
+def csr_distances(csr: CSRGraph, source: Node) -> np.ndarray:
+    """Distances from ``source`` to every node, in ``csr``'s index order.
+
+    The array counterpart of :func:`repro.graph.dijkstra.shortest_path_tree`
+    (``inf`` marks unreachable nodes instead of a missing key); a full
+    single-source run with no bans.  Raises :class:`KeyError` when
+    ``source`` is not a node.
+    """
+    try:
+        src = csr.index[source]
+    except KeyError:
+        raise KeyError(f"source {source!r} not in graph") from None
+    dist, _prev = _run_dijkstra(csr, src, -1, None, None)
+    return dist
 
 
 def _walk_back(prev: np.ndarray, src: int, dst: int) -> list[int]:

@@ -8,6 +8,10 @@ by the solver backends:
     subject to  b_lo <= A @ x <= b_hi
                 lb <= x <= ub,  x_i integer for i in integrality
 
+The rows are assembled once and the form is cached on the model, shared
+by every consumer (the model analyzer, the warm-start heuristic and the
+solver backends), so its arrays are read-only.
+
 Problem-size statistics (variable/constraint/nonzero counts) are first-class
 because the paper's Tables 3-4 report them directly.
 """
@@ -28,7 +32,17 @@ from repro.milp.expr import Constraint, LinExpr, Var
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Matrix standard form of a model, ready for a solver backend."""
+    """Matrix standard form of a model, ready for a solver backend.
+
+    Every array is read-only, ``a_matrix``'s included: the form is cached
+    on its model and shared, so copy an array before modifying it.
+    ``a_matrix`` is canonical CSR (column indices sorted within each row,
+    explicit zeros dropped).  ``term_order`` lists, row by row, where each
+    of the row's terms sits in ``a_matrix.data``, in the order the row's
+    expression holds them: ``a_matrix.data[term_order]`` replays every row
+    as written, which a pass that must round exactly like a per-term loop
+    needs.
+    """
 
     c: npt.NDArray[np.float64]
     a_matrix: sparse.csr_matrix
@@ -37,6 +51,45 @@ class StandardForm:
     x_lower: npt.NDArray[np.float64]
     x_upper: npt.NDArray[np.float64]
     integrality: npt.NDArray[np.int8]  # 1 where the variable is integer, else 0
+    term_order: npt.NDArray[np.intp]
+
+
+class ForeignIndexError(ValueError):
+    """Rows or the objective reference variables the model does not own.
+
+    :meth:`Model.add` rejects such rows, so only a model edited past its
+    checks gets here.  ``rows`` maps each offending row's position to its
+    sorted foreign indices; ``objective`` holds the objective's.
+    """
+
+    def __init__(
+        self, model: str, rows: dict[int, list[int]], objective: list[int],
+    ) -> None:
+        where = [f"row #{i}" for i in list(rows)[:4]]
+        if objective:
+            where.append("the objective")
+        super().__init__(
+            f"model {model!r}: {', '.join(where)} reference(s) variables "
+            f"the model does not own"
+        )
+        self.rows = rows
+        self.objective = objective
+
+
+def _read_only(*arrays: npt.NDArray[Any]) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _RowBlock:
+    """The row half of a standard form, cached on its model."""
+
+    key: tuple[int, int]
+    a_matrix: sparse.csr_matrix
+    b_lower: npt.NDArray[np.float64]
+    b_upper: npt.NDArray[np.float64]
+    term_order: npt.NDArray[np.intp]
 
 
 @dataclass(frozen=True)
@@ -64,6 +117,8 @@ class Model:
         self._constraints: list[Constraint] = []
         self._objective = LinExpr()
         self._names_seen: set[str] = set()
+        self._rows: _RowBlock | None = None
+        self._form: StandardForm | None = None
         #: Advisory facts attached to the model by analysis passes —
         #: backends may exploit hints but must stay correct ignoring
         #: them, and must re-validate anything a hint claims.  Known keys:
@@ -245,43 +300,115 @@ class Model:
         )
 
     def to_standard_form(self) -> StandardForm:
-        """Assemble the sparse standard form for the solver backends."""
+        """The sparse standard form, cached and shared by its consumers.
+
+        Rows and variables are only ever appended, so their counts
+        version the assembled rows: they are rebuilt only after
+        :meth:`add`, :meth:`add_range` or variable creation.  The
+        objective vector, variable bounds and integrality are cheap and
+        re-read on every call, since the objective may be replaced and a
+        :class:`Var`'s bounds reassigned to fix it; while they are
+        unchanged the same form object comes back.
+
+        Raises :class:`ForeignIndexError` when a row or the objective
+        references a variable index the model does not own.
+        """
         n = len(self._vars)
-        m = len(self._constraints)
-
+        coeffs = self._objective.coeffs
+        obj_idx = np.fromiter(coeffs.keys(), np.int64, len(coeffs))
+        obj_foreign = sorted(obj_idx[(obj_idx < 0) | (obj_idx >= n)].tolist())
+        try:
+            rows = self._row_block()
+        except ForeignIndexError as err:
+            raise ForeignIndexError(self.name, err.rows, obj_foreign) from None
+        if obj_foreign:
+            raise ForeignIndexError(self.name, {}, obj_foreign)
         c = np.zeros(n)
-        for idx, coeff in self._objective.coeffs.items():
-            c[idx] = coeff
-
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        b_lower = np.empty(m)
-        b_upper = np.empty(m)
-        for i, constraint in enumerate(self._constraints):
-            coeffs, lo, hi = constraint.normalized()
-            b_lower[i] = lo
-            b_upper[i] = hi
-            for idx, coeff in coeffs.items():
-                if coeff != 0.0:
-                    rows.append(i)
-                    cols.append(idx)
-                    data.append(coeff)
-        a_matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(m, n), dtype=float
+        c[obj_idx] = np.fromiter(coeffs.values(), np.float64, len(coeffs))
+        bounds = np.array(
+            [(v.lower, v.upper) for v in self._vars], dtype=float,
+        ).reshape(n, 2)
+        integrality = np.fromiter(
+            (1 if v.is_integer else 0 for v in self._vars), np.int8, n,
         )
-
-        x_lower = np.array([v.lower for v in self._vars])
-        x_upper = np.array([v.upper for v in self._vars])
-        integrality = np.array(
-            [1 if v.is_integer else 0 for v in self._vars], dtype=np.int8
-        )
-        return StandardForm(
+        form = self._form
+        if (
+            form is not None
+            and form.a_matrix is rows.a_matrix
+            and np.array_equal(form.c, c, equal_nan=True)
+            and np.array_equal(form.x_lower, bounds[:, 0], equal_nan=True)
+            and np.array_equal(form.x_upper, bounds[:, 1], equal_nan=True)
+            and np.array_equal(form.integrality, integrality)
+        ):
+            return form
+        x_lower = bounds[:, 0].copy()
+        x_upper = bounds[:, 1].copy()
+        _read_only(c, x_lower, x_upper, integrality)
+        self._form = StandardForm(
             c=c,
-            a_matrix=a_matrix,
-            b_lower=b_lower,
-            b_upper=b_upper,
+            a_matrix=rows.a_matrix,
+            b_lower=rows.b_lower,
+            b_upper=rows.b_upper,
             x_lower=x_lower,
             x_upper=x_upper,
             integrality=integrality,
+            term_order=rows.term_order,
         )
+        return self._form
+
+    def _row_block(self) -> _RowBlock:
+        """The assembled rows for the current row and variable counts."""
+        key = (len(self._constraints), len(self._vars))
+        if self._rows is not None and self._rows.key == key:
+            return self._rows
+        n = len(self._vars)
+        m = len(self._constraints)
+        cols: list[int] = []
+        vals: list[float] = []
+        lengths: list[int] = []
+        lowers: list[float] = []
+        uppers: list[float] = []
+        for constraint in self._constraints:
+            coeffs, lo, hi = constraint.normalized()
+            cols.extend(coeffs)
+            vals.extend(coeffs.values())
+            lengths.append(len(coeffs))
+            lowers.append(lo)
+            uppers.append(hi)
+        col = np.fromiter(cols, np.int64, len(cols))
+        val = np.fromiter(vals, np.float64, len(vals))
+        row = np.repeat(np.arange(m), lengths)
+        bad = (col < 0) | (col >= n)
+        if bad.any():
+            foreign: dict[int, list[int]] = {}
+            for i, idx in zip(row[bad].tolist(), col[bad].tolist()):
+                foreign.setdefault(i, []).append(idx)
+            raise ForeignIndexError(
+                self.name, {i: sorted(idx) for i, idx in foreign.items()}, [],
+            )
+        b_lower = np.array(lowers, dtype=float)
+        b_upper = np.array(uppers, dtype=float)
+        keep = val != 0.0
+        row, col, val = row[keep], col[keep], val[keep]
+        # Insertion order within each row -> canonical (column-sorted).
+        canonical = np.lexsort((col, row))
+        term_order = np.empty_like(canonical)
+        term_order[canonical] = np.arange(canonical.shape[0])
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+        index_dtype = np.int32 if max(n, indptr[-1]) < 2**31 else np.int64
+        a_matrix = sparse.csr_matrix(
+            (
+                val[canonical],
+                col[canonical].astype(index_dtype),
+                indptr.astype(index_dtype),
+            ),
+            shape=(m, n),
+        )
+        a_matrix.has_canonical_format = True
+        _read_only(
+            a_matrix.data, a_matrix.indices, a_matrix.indptr,
+            b_lower, b_upper, term_order,
+        )
+        self._rows = _RowBlock(key, a_matrix, b_lower, b_upper, term_order)
+        return self._rows

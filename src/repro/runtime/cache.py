@@ -29,6 +29,8 @@ from dataclasses import is_dataclass
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.graph.api import k_shortest_paths, resolve_backend
 from repro.graph.digraph import DiGraph
 from repro.resilience.faults import maybe_fire
@@ -214,11 +216,22 @@ class EncodeCache:
     def template_graph_key(
         template, max_path_loss_db: float | None = None
     ) -> str:
-        """Content key of a template's path-loss-weighted graph."""
-        edges = sorted(template.edges())
-        return digest(
-            "weighted-graph", template.node_count, max_path_loss_db, edges
-        )
+        """Content key of a template's path-loss-weighted graph.
+
+        Digests the candidate links as packed arrays — ``(u, v)`` as
+        int64, path loss as float64 bits — sorted by ``(u, v,
+        path_loss)``, so the key follows the link set and every loss to
+        the last bit, whatever order the links were added in.
+        """
+        ends, loss = template.link_arrays()
+        order = np.lexsort((loss, ends[:, 1], ends[:, 0]))
+        h = hashlib.blake2b(digest_size=16)
+        h.update(repr((
+            "weighted-graph", template.node_count, max_path_loss_db,
+        )).encode())
+        h.update(ends[order].tobytes())
+        h.update(loss[order].tobytes())
+        return h.hexdigest()
 
     def weighted_graph(
         self,

@@ -38,13 +38,16 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.core.options import SolveOptions
 from repro.core.results import SynthesisResult
 from repro.encoding.approximate import _hops_ok, _pool_sufficient, budget_div
 from repro.graph.api import resolve_backend
 from repro.graph.digraph import INFINITY, DiGraph
-from repro.graph.dijkstra import shortest_path_tree
 from repro.graph.disjoint import minimally_disjoint_path
+from repro.graph.kernels import CSRGraph, csr_distances
 from repro.geometry.primitives import Segment
 from repro.network.paths import CandidatePath
 from repro.network.requirements import (
@@ -206,26 +209,39 @@ class _YenReplayer:
         self.new_gkey = new_gkey
         self.changed = changed
         self.backend = backend
-        self._forward: dict[int, dict[Any, float]] = {}
-        self._backward: dict[int, dict[Any, float]] = {}
-        self._reversed: DiGraph | None = None
+        self._forward: dict[int, npt.NDArray[np.float64]] = {}
+        self._backward: dict[int, npt.NDArray[np.float64]] = {}
+        self._view: CSRGraph | None = None
+        self._reversed: CSRGraph | None = None
 
-    def _dist_from(self, source: int) -> dict[Any, float]:
+    def _csr(self) -> CSRGraph:
+        """The new graph's CSR view.
+
+        Compiled here, not through ``csr_of``: the graph is seeded into
+        the shared cache, and a view cached on it would live as long as
+        the cache entry even when no Yen query ever reads it.
+        """
+        if self._view is None:
+            self._view = CSRGraph.from_digraph(self.new_graph)
+        return self._view
+
+    def _dist_from(self, source: int) -> npt.NDArray[np.float64]:
+        """Distances from ``source`` on the new graph, by CSR index."""
         if source not in self._forward:
-            self._forward[source] = shortest_path_tree(self.new_graph, source)
+            self._forward[source] = csr_distances(self._csr(), source)
         return self._forward[source]
 
-    def _dist_to(self, target: int) -> dict[Any, float]:
+    def _dist_to(self, target: int) -> npt.NDArray[np.float64]:
+        """Distances to ``target`` on the new graph, by CSR index."""
         if target not in self._backward:
             if self._reversed is None:
-                rev = DiGraph()
-                for node in self.new_graph.nodes():
-                    rev.add_node(node)
-                for u, v, w in self.new_graph.edges():
-                    rev.add_edge(v, u, w)
-                self._reversed = rev
-            self._backward[target] = shortest_path_tree(self._reversed, target)
+                self._reversed = self._csr().reversed()
+            self._backward[target] = csr_distances(self._reversed, target)
         return self._backward[target]
+
+    def _distance(self, dist: npt.NDArray[np.float64], node: int) -> float:
+        index = self._csr().index.get(node)
+        return INFINITY if index is None else float(dist[index])
 
     def _round_reusable(
         self, found: list[tuple[list[int], float]], k: int,
@@ -252,7 +268,9 @@ class _YenReplayer:
                 ds = self._dist_from(source)
                 dt = self._dist_to(target)
             assert dt is not None
-            bound = ds.get(u, INFINITY) + w_new + dt.get(v, INFINITY)
+            bound = (
+                self._distance(ds, u) + w_new + self._distance(dt, v)
+            )
             if not bound > found[-1][1] + _BOUND_EPS:
                 return False
         return True

@@ -37,6 +37,32 @@ class TestTopologyConsistency:
         assert solution.status.has_solution
         return grid, mapping, encoding, solution
 
+    def test_edge_rows_follow_the_use_count(self):
+        grid = small_grid_template(nx=4, ny=3)
+        routes = [
+            RouteRequirement(s, grid.sink_id, replicas=1, disjoint=False)
+            for s in grid.sensor_ids
+        ]
+        model = Model()
+        mapping = build_mapping(model, grid.template, default_catalog())
+        encoding = ApproximatePathEncoder(k_star=5).encode(
+            model, grid.template, routes, mapping.node_used
+        )
+        names = {row.name for row in model.constraints}
+        counts = {len(uses) for uses in encoding.edge_uses.values()}
+        assert 1 in counts and max(counts) > 1
+        for (u, v), uses in encoding.edge_uses.items():
+            tag = f"e[{u},{v}]"
+            if len(uses) == 1:
+                # One equality instead of two rows sharing a left-hand side.
+                assert f"{tag}:eq_use" in names
+                assert f"{tag}:ge_use0" not in names
+                assert f"{tag}:le_uses" not in names
+            else:
+                assert f"{tag}:eq_use" not in names
+                assert f"{tag}:le_uses" in names
+                assert {f"{tag}:ge_use{k}" for k in range(len(uses))} <= names
+
     def test_active_edge_implies_used_endpoints(self, solved):
         grid, mapping, encoding, solution = solved
         for (u, v), var in encoding.edge_active.items():

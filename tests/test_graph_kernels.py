@@ -23,8 +23,10 @@ from repro.graph import (
     shortest_path,
 )
 from repro.graph.dijkstra import shortest_path as ref_shortest_path
+from repro.graph.dijkstra import shortest_path_tree
 from repro.graph.kernels import (
     CSRGraph,
+    csr_distances,
     csr_k_shortest_paths,
     csr_of,
     csr_shortest_path,
@@ -299,6 +301,43 @@ class TestDijkstraParity:
         )
         assert got[0] == ref[0]
         assert got[1] == pytest.approx(ref[1], abs=1e-9)
+
+
+class TestDistanceParity:
+    """Single-source runs equal the reference distance map, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_forward_distances(self, seed):
+        g, n = random_graph(seed)
+        csr = csr_of(g)
+        for source in range(n):
+            ref = shortest_path_tree(g, source)
+            dist = csr_distances(csr, source)
+            for node in range(n):
+                assert dist[csr.index[node]] == ref.get(node, np.inf)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reversed_view_matches_the_reverse_graph(self, seed):
+        g, n = random_graph(seed)
+        rev = DiGraph()
+        for node in g.nodes():
+            rev.add_node(node)
+        for u, v, w in g.edges():
+            rev.add_edge(v, u, w)
+        view = csr_of(g).reversed()
+        assert view.edge_count == g.edge_count
+        for u, v, w in g.edges():
+            slot = view.edge_slot[(view.index[v], view.index[u])]
+            assert view.weights[slot] == w
+        for target in range(n):
+            ref = shortest_path_tree(rev, target)
+            dist = csr_distances(view, target)
+            for node in range(n):
+                assert dist[view.index[node]] == ref.get(node, np.inf)
+
+    def test_unknown_source_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            csr_distances(csr_of(diamond()), "nowhere")
 
 
 class TestYenParity:

@@ -1,12 +1,17 @@
 """Tests for the content-keyed encode cache."""
 
+import math
 import threading
 import time
 
 import pytest
 
 from repro.graph import k_shortest_paths
-from repro.network import localization_template, small_grid_template
+from repro.network import (
+    Template,
+    localization_template,
+    small_grid_template,
+)
 from repro.runtime import (
     BatchRunner,
     CacheCounters,
@@ -99,6 +104,23 @@ class TestWeightedGraph:
         graph_after, key_after = cache.weighted_graph(instance.template)
         assert key_after != key_before
         assert graph_after.weight(u, v) == pytest.approx(pl + 7.5)
+
+    def test_key_ignores_link_insertion_order(self):
+        instance = small_grid_template(nx=4, ny=3)
+        links = list(instance.template.edges())
+        reordered = Template(instance.template.nodes)
+        for u, v, pl in reversed(links):
+            reordered.set_link(u, v, pl)
+        assert list(reordered.edges()) != links
+        assert EncodeCache.template_graph_key(reordered) == \
+            EncodeCache.template_graph_key(instance.template)
+
+    def test_key_sees_a_one_ulp_path_loss_change(self):
+        instance = small_grid_template(nx=4, ny=3)
+        before = EncodeCache.template_graph_key(instance.template)
+        u, v, pl = list(instance.template.edges())[5]
+        instance.template.set_link(u, v, math.nextafter(pl, math.inf))
+        assert EncodeCache.template_graph_key(instance.template) != before
 
     def test_matches_uncached_builder(self):
         instance = small_grid_template(nx=3, ny=3)
