@@ -45,8 +45,15 @@ _MIN_STRENGTHEN = 1e-6
 
 
 def _tighten_upper(state: PresolveState, j: int, bound: float) -> bool:
-    """Apply ``x_j <= bound`` if it improves the current upper bound."""
-    if state.integer[j]:
+    """Apply ``x_j <= bound`` if it improves the current upper bound.
+
+    A NaN bound implies nothing.  It arises from an infinite row bound
+    or coefficient (``inf / inf``, ``inf - inf``) or a NaN variable
+    bound; integer rounding is skipped for infinite bounds.
+    """
+    if math.isnan(bound):
+        return False
+    if state.integer[j] and math.isfinite(bound):
         bound = math.floor(bound + 1e-6)
     current = state.upper[j]
     if bound >= current - _MIN_IMPROVE * max(1.0, abs(current)):
@@ -61,8 +68,13 @@ def _tighten_upper(state: PresolveState, j: int, bound: float) -> bool:
 
 
 def _tighten_lower(state: PresolveState, j: int, bound: float) -> bool:
-    """Apply ``x_j >= bound`` if it improves the current lower bound."""
-    if state.integer[j]:
+    """Apply ``x_j >= bound`` if it improves the current lower bound.
+
+    A NaN bound implies nothing (see :func:`_tighten_upper`).
+    """
+    if math.isnan(bound):
+        return False
+    if state.integer[j] and math.isfinite(bound):
         bound = math.ceil(bound - 1e-6)
     current = state.lower[j]
     if bound <= current + _MIN_IMPROVE * max(1.0, abs(current)):

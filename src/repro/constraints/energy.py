@@ -13,12 +13,32 @@ where ``k_i`` is the number of slot-uses (one per TX and one per RX as in
 the paper) and each radio use costs ``c_radio * airtime * ETX`` — the
 (3b) product with the expected-transmission count from the link's SNR.
 
-Every nonlinear term is linearized with *lower-bound chaining*: charge
-variables carry big-M lower-bound rows activated by the relevant binary
-(device assignment ``m``, path use, edge activation), and since charge
-only ever appears on the burden side — the lifetime budget (3a) and the
-energy-minimization objective — the solver settles each variable exactly
-on its active lower bound.  No exact product encodings are needed.
+The device-dependent products are encoded without big-M where it costs
+the LP relaxation most:
+
+* **Awake and sleep charge** use the convex hull of the device
+  disjunction.  The slot count is split per candidate device,
+  ``k[i][d] <= k_ub * m[d][i]`` and ``sum_d k[i][d] == k_i``, so
+
+      qact_i   = sum_d c_active_d * t_slot * k[i][d]
+      qsleep_i = sum_d c_sleep_d * (T_report * m[d][i] - t_slot * k[i][d])
+
+  are linear expressions, exact at integer points and the hull of the
+  per-device charges in the LP (a fixed node pays its full sleep floor
+  at the root instead of a device-averaged fraction of it).
+* **Per-packet radio charges** keep one lower-bound row per device,
+  ``qtx >= c_d * etx - c_d * ETX_cap * (1 - m_d)``, which the ETX term
+  needs.  Because ``etx >= 1``, each edge end also gets one
+  device-aggregated floor row
+
+      qtx[u,v] >= sum_d c_d * m[d][u] - max_d c_d * (1 - e[u,v])
+
+  (``c_d = c_radio_d * airtime``) that the LP cannot spread across
+  devices.
+* **Per-use charges** ``w >= q - q_ub * (1 - use)`` and the ETX chords
+  are lower-bound chains: charge only ever appears on the burden side —
+  the lifetime budget (3a) and the energy-minimization objective — so
+  the solver settles each on its active lower bound.
 
 The lifetime requirement itself is the linear budget
 
@@ -121,28 +141,22 @@ def build_energy(
             )
 
         # Per-packet radio charges, lower-bounded per candidate device.
-        tx_devs = mapping.devices_for(u)
-        rx_devs = mapping.devices_for(v)
-        qtx_ub = max((d.radio_tx_ma for d in tx_devs), default=0.0)
-        qrx_ub = max((d.radio_rx_ma for d in rx_devs), default=0.0)
-        qtx_ub *= airtime_ms * etx_cap
-        qrx_ub *= airtime_ms * etx_cap
+        tx_coeffs = {
+            d.name: d.radio_tx_ma * airtime_ms for d in mapping.devices_for(u)
+        }
+        rx_coeffs = {
+            d.name: d.radio_rx_ma * airtime_ms for d in mapping.devices_for(v)
+        }
+        qtx_ub = max(tx_coeffs.values(), default=0.0) * etx_cap
+        qrx_ub = max(rx_coeffs.values(), default=0.0) * etx_cap
         qtx = model.continuous(f"qtx[{u},{v}]", 0.0, qtx_ub)
         qrx = model.continuous(f"qrx[{u},{v}]", 0.0, qrx_ub)
-        for dev in tx_devs:
-            m_var = mapping.assign[u][dev.name]
-            coeff = dev.radio_tx_ma * airtime_ms
-            model.add(
-                qtx >= coeff * etx - coeff * etx_cap * (1 - m_var),
-                f"qtx[{u},{v}]:{dev.name}",
-            )
-        for dev in rx_devs:
-            m_var = mapping.assign[v][dev.name]
-            coeff = dev.radio_rx_ma * airtime_ms
-            model.add(
-                qrx >= coeff * etx - coeff * etx_cap * (1 - m_var),
-                f"qrx[{u},{v}]:{dev.name}",
-            )
+        _add_radio_charge(
+            model, qtx, mapping.assign[u], tx_coeffs, etx, etx_cap, e_var,
+        )
+        _add_radio_charge(
+            model, qrx, mapping.assign[v], rx_coeffs, etx, etx_cap, e_var,
+        )
 
         # One charge term per route use of the edge.
         for k, use in enumerate(uses):
@@ -182,28 +196,22 @@ def build_energy(
             )
             k_ub = slots_per_report
 
-        devices = mapping.devices_for(node_id)
-        qact_ub = max((d.active_ma for d in devices), default=0.0)
-        qact_ub *= tdma.slot_ms * k_ub
-        qact = model.continuous(f"qact[{node_id}]", 0.0, max(qact_ub, 0.0))
-        qsleep_ub = max((d.sleep_ma for d in devices), default=0.0)
-        qsleep_ub *= tdma.report_interval_ms
-        qsleep = model.continuous(
-            f"qsleep[{node_id}]", 0.0, max(qsleep_ub, 0.0)
-        )
-        for dev in devices:
+        # Convex hull of the device disjunction: the slot count split
+        # per candidate device makes awake and sleep charge linear.
+        qact = LinExpr()
+        qsleep = LinExpr()
+        split = LinExpr()
+        for dev in mapping.devices_for(node_id):
             m_var = mapping.assign[node_id][dev.name]
-            act_coeff = dev.active_ma * tdma.slot_ms
+            k_dev = model.continuous(f"k[{node_id}][{dev.name}]", 0.0, k_ub)
             model.add(
-                qact >= act_coeff * k_expr - act_coeff * k_ub * (1 - m_var),
-                f"qact[{node_id}]:{dev.name}",
+                k_dev <= k_ub * m_var, f"k[{node_id}][{dev.name}]:on"
             )
-            sleep_time = tdma.report_interval_ms - tdma.slot_ms * k_expr
-            big_m = dev.sleep_ma * tdma.report_interval_ms
-            model.add(
-                qsleep >= dev.sleep_ma * sleep_time - big_m * (1 - m_var),
-                f"qsleep[{node_id}]:{dev.name}",
-            )
+            split.add_term(k_dev, 1.0)
+            qact.add_term(k_dev, dev.active_ma * tdma.slot_ms)
+            qsleep.add_term(m_var, dev.sleep_ma * tdma.report_interval_ms)
+            qsleep.add_term(k_dev, -dev.sleep_ma * tdma.slot_ms)
+        model.add(split == k_expr, f"k[{node_id}]:split")
 
         charge = (
             lin_sum(tx_charge_terms.get(node_id, []))
@@ -218,3 +226,40 @@ def build_energy(
             if role not in lifetime.mains_roles:
                 model.add(charge <= budget, f"lifetime[{node_id}]")
     return energy
+
+
+def _add_radio_charge(
+    model: Model,
+    charge: Var,
+    assign: dict[str, Var],
+    coeffs: dict[str, float],
+    etx: Var,
+    etx_cap: float,
+    e_var: Var,
+) -> None:
+    """Lower-bound one edge end's per-packet charge ``c_d * etx``.
+
+    One big-M row per candidate device ``d`` (``c_d`` is its radio
+    current times the airtime) carries the ETX term.  One
+    device-aggregated floor row, valid because an active edge has
+    ``etx >= 1``,
+
+        charge >= sum_d c_d * m[d] - max_d c_d * (1 - e)
+
+    keeps the LP from spreading ``m`` across devices to dodge the charge.
+    A node without candidate devices can never carry an edge: no rows.
+    """
+    if not coeffs:
+        return
+    floor = LinExpr()
+    for name, coeff in coeffs.items():
+        m_var = assign[name]
+        model.add(
+            charge >= coeff * etx - coeff * etx_cap * (1 - m_var),
+            f"{charge.name}:{name}",
+        )
+        floor.add_term(m_var, coeff)
+    big_m = max(coeffs.values())
+    model.add(
+        charge >= floor - big_m * (1 - e_var), f"{charge.name}:floor"
+    )

@@ -147,6 +147,8 @@ def estimate_full_encoding_stats(
             if curve.snr_floor - snr_lo > 0:
                 num_cons += 1
             num_cons += dev_u[u] + dev_u[v]  # qtx/qrx device rows
+            # qtx/qrx floor rows, one per edge end with candidate devices.
+            num_cons += (dev_u[u] > 0) + (dev_u[v] > 0)
             num_cons += 2 * replicas_total  # w activation rows
         touched = set(out_deg) | set(in_deg)
         mains = (
@@ -154,9 +156,19 @@ def estimate_full_encoding_stats(
             if requirements.lifetime is not None
             else frozenset()
         )
+        tdma = requirements.tdma
+        slots_per_report = tdma.slots * (
+            tdma.report_interval_ms / tdma.superframe_ms
+        )
         for node_id in touched:
-            num_vars += 2  # qact, qsleep
-            num_cons += 2 * dev_u[node_id]
+            # k[i][d] per device, its activation row, and the split row.
+            num_vars += dev_u[node_id]
+            num_cons += dev_u[node_id] + 1
+            slot_uses = replicas_total * (
+                out_deg.get(node_id, 0) + in_deg.get(node_id, 0)
+            )
+            if slot_uses > slots_per_report:
+                num_cons += 1  # TDMA schedulability
             if (requirements.lifetime is not None
                     and template.node(node_id).role not in mains):
                 num_cons += 1  # lifetime budget

@@ -366,8 +366,7 @@ def _reference_unused_variable(rule, model):
         )
 
 
-def _reference_loose_big_m(rule, model, acquit=True):
-    """``acquit=False`` skips propagation: the declared-bound verdicts."""
+def _reference_loose_big_m(rule, model):
     from repro.analysis.presolve import propagated_bounds
 
     n = len(model.variables)
@@ -377,7 +376,7 @@ def _reference_loose_big_m(rule, model, acquit=True):
     owned, _ = model.relaxed_copy(
         lambda row: not _valid_indices(row.expr.coeffs, n)
     )
-    if n and acquit:
+    if n:
         prop_lower, prop_upper, _ = propagated_bounds(owned)
     else:
         prop_lower = [v.lower for v in model.variables]
@@ -421,7 +420,7 @@ def _reference_loose_big_m(rule, model, acquit=True):
             prop_tightest = abs(coeff) - (
                 prop_act_lo + abs(coeff) - bound
             )
-            if acquit and math.isfinite(prop_act_lo) and (
+            if math.isfinite(prop_act_lo) and (
                 prop_tightest <= rule._ABS_SLACK
             ):
                 continue
@@ -483,25 +482,10 @@ def _as_records(diagnostics):
 
 
 def assert_matches_reference(model):
-    """The array rules report exactly what the per-row rules report.
-
-    Bound propagation raises on some degenerate models (a NaN implied
-    bound, from a NaN variable bound or an ``inf - inf`` activity).  The
-    per-row big-M rule always propagated, so it raised on all of them;
-    the array rule propagates only when a declared-bound verdict is
-    pending, so it must raise the same error exactly then and report
-    nothing otherwise (propagation can only acquit).
-    """
+    """The array rules report exactly what the per-row rules report."""
     expected = []
     for rule in model_rules():
-        try:
-            expected.extend(_REFERENCE[rule.rule_id](rule, model))
-        except Exception as exc:
-            assert rule.rule_id == "model.loose-big-m"
-            if list(_reference_loose_big_m(rule, model, acquit=False)):
-                with pytest.raises(type(exc)):
-                    analyze_model(model)
-                return
+        expected.extend(_REFERENCE[rule.rule_id](rule, model))
     actual = analyze_model(model).diagnostics
     assert _as_records(actual) == _as_records(expected)
 

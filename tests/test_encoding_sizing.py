@@ -11,6 +11,7 @@ from repro.network import (
     LifetimeRequirement,
     LinkQualityRequirement,
     RequirementSet,
+    TdmaConfig,
     small_grid_template,
 )
 
@@ -55,6 +56,25 @@ def test_estimate_matches_built_model(with_lq, with_lifetime, replicas,
     )
     assert estimate.num_vars == stats.num_vars
     assert estimate.num_constraints == stats.num_constraints
+
+
+def test_estimate_counts_schedulability_rows():
+    """A 40 ms report interval leaves 40 slots: busy nodes get a
+    ``k[i]:schedulable`` row, which the estimate must count too."""
+    instance = small_grid_template(nx=4, ny=3)
+    requirements = RequirementSet()
+    for s in instance.sensor_ids:
+        requirements.require_route(s, instance.sink_id, replicas=2,
+                                   disjoint=True)
+    requirements.lifetime = LifetimeRequirement(years=0.001)
+    requirements.tdma = TdmaConfig(report_interval_s=0.04)
+    model = build_full(instance, requirements)
+    assert any(c.name.endswith(":schedulable") for c in model.constraints)
+    estimate = estimate_full_encoding_stats(
+        instance.template, requirements, default_catalog()
+    )
+    assert estimate.num_constraints == model.stats().num_constraints
+    assert estimate.num_vars == model.stats().num_vars
 
 
 def test_estimate_with_hop_bounds():

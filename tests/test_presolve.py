@@ -132,6 +132,38 @@ class TestPropagation:
         assert total >= 1
         assert m.variables[x.index].upper == 50.0  # untouched
 
+    @staticmethod
+    def _nan_implied_model(integer: bool) -> Model:
+        """``-inf*v0`` makes ``inf - inf`` residuals: NaN implied bounds.
+
+        The integer case is the minimal model a randomized search found
+        raising ``ValueError`` from ``math.ceil`` on the NaN.
+        """
+        inf = float("inf")
+        m = Model("nan-implied")
+        if integer:
+            v0 = m.integer("v0", -inf, -10.0)
+        else:
+            v0 = m.continuous("v0", -inf, -10.0)
+        v1 = m.binary("v1")
+        m.add_range(LinExpr({v0.index: -inf}), -inf, -inf, name="r0")
+        m.add(v0 - 50 * v1 <= -44, name="r1")
+        return m
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_nan_implied_bound_implies_nothing(self, integer):
+        m = self._nan_implied_model(integer)
+        lower, upper, _ = propagated_bounds(m)
+        assert not any(math.isnan(b) for b in lower + upper)
+        # The only finite implication: v0 <= -44 + 50*v1 <= 6 is looser
+        # than the declared -10, so v0 keeps its declared bounds.
+        assert lower[0] == -float("inf") and upper[0] == -10.0
+
+    def test_analyzer_reports_on_nan_implied_bound_model(self):
+        from repro.analysis import analyze_model
+
+        analyze_model(self._nan_implied_model(integer=True))
+
 
 # -- coefficient strengthening ------------------------------------------------
 
