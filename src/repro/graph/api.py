@@ -15,8 +15,10 @@ environment variable, then ``"auto"``.
 
 Both backends satisfy the same contract and, for graphs with distinct
 path costs, return identical results (cross-checked in
-``tests/test_graph_kernels.py``); under cost ties they may order
-equal-cost paths differently.
+``tests/test_graph_kernels.py``); under cost ties they may choose and
+order equal-cost paths differently.  The CSR Yen's goal-directed spur
+searches also treat costs that differ only by float rounding as ties
+(see :mod:`repro.graph.kernels`).
 """
 
 from __future__ import annotations

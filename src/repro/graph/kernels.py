@@ -9,15 +9,16 @@ DiGraph into a compressed-sparse-row (CSR) view — an int-interning table
 plus flat numpy ``indptr``/``indices``/``weights`` arrays — and runs the
 two kernels Algorithm 1 needs directly on it:
 
-* **Dijkstra** with flat ``dist``/``prev``/``visited`` arrays, integer
-  heap entries, vectorized per-row relaxation, and banned nodes/edges
+* **Dijkstra** with flat ``dist``/``prev`` arrays, integer heap
+  entries, vectorized per-row relaxation, and banned nodes/edges
   expressed as boolean masks (no graph copies, no per-edge set lookups).
 * **Yen's K-shortest paths with Lawler's optimization**: spurs start at
   the previous path's own spur index (earlier prefixes were exhausted when
   its parent was processed), root-path prefix costs are carried
   incrementally, banned spur continuations come from a prefix-indexed
   lookup table instead of rescanning every accepted/queued path, and heap
-  ties break on a monotonic counter.
+  ties break on a monotonic counter.  Every spur search is an A* search
+  toward the target (below).
 
 The compiled view is cached on the DiGraph keyed by its structural
 version, which edge *masking* does not bump — so Algorithm 1's
@@ -25,11 +26,27 @@ disconnect-and-rerun rounds, and the runtime's copy-then-mask trial
 pattern, reuse a single compilation.  Masked edges are folded into each
 query's banned-edge mask instead.
 
+Goal-directed spurs.  Yen's searches all end at one target, so
+:meth:`CSRGraph.potential` computes ``h[v]``, the exact distance from
+``v`` to the target on the view with no masks and no bans, once per
+view and target (one reverse Dijkstra; ``DiGraph.copy`` shares the view,
+so every disconnection round and every route to the same sink reuses
+it).  Masks and bans only remove edges, so ``h`` never overestimates the
+distance of any query on the view: it is admissible, and consistent,
+``h(u) = min_v fl(w(u, v) + h(v)) <= fl(w(u, v) + h(v))`` for every
+edge.  Nodes with ``h = inf`` cannot reach the target and are never
+pushed.  The search carries the same left-to-right sums of edge
+weights as plain Dijkstra, so a returned cost is the float sum of its
+path.
+
 Behavioral contract: given distinct path costs, these kernels return
 exactly what the reference implementations in :mod:`repro.graph.dijkstra`
 and :mod:`repro.graph.yen` return (the property suite in
-``tests/test_graph_kernels.py`` cross-checks this, bans and all); under
-cost ties the choice among equal-cost paths may differ.
+``tests/test_graph_kernels.py`` cross-checks this, bans and all).  Under
+cost ties the choice among equal-cost paths may differ, but not their
+costs.  The A* heap orders entries by ``(g + h, g, node)``, which
+treats costs that differ only by the rounding of ``g + h`` as ties, so
+such costs match the reference's up to that rounding.
 """
 
 from __future__ import annotations
@@ -59,11 +76,15 @@ class CSRGraph:
     Masked edges of the source graph are *included* (with their true
     weights): masking is a per-query concern, served by
     :meth:`edge_mask`, so mask flips never invalidate the compilation.
+
+    ``edge_slot`` and the per-target :meth:`potential` arrays are derived
+    on first use and kept; two threads racing on a first use compute the
+    same value, so the view stays safe to share.
     """
 
     __slots__ = (
         "nodes", "index", "indptr", "indptr_list", "indices", "weights",
-        "edge_slot",
+        "_edge_slot", "_potentials",
     )
 
     def __init__(
@@ -73,7 +94,6 @@ class CSRGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
-        edge_slot: dict[tuple[int, int], int],
     ) -> None:
         self.nodes = nodes
         self.index = index
@@ -83,7 +103,8 @@ class CSRGraph:
         self.indptr_list = indptr.tolist()
         self.indices = indices
         self.weights = weights
-        self.edge_slot = edge_slot
+        self._edge_slot: dict[tuple[int, int], int] | None = None
+        self._potentials: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_digraph(cls, graph: DiGraph) -> CSRGraph:
@@ -111,10 +132,22 @@ class CSRGraph:
         tails, heads, weights = tails[order], heads[order], weights[order]
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=len(nodes)), out=indptr[1:])
-        edge_slot = dict(zip(
-            zip(tails.tolist(), heads.tolist()), range(heads.shape[0]),
-        ))
-        return cls(nodes, index, indptr, heads, weights, edge_slot)
+        return cls(nodes, index, indptr, heads, weights)
+
+    @property
+    def edge_slot(self) -> dict[tuple[int, int], int]:
+        """The ``(u_index, v_index) -> slot`` map, built on first use.
+
+        Views that only ever answer distance queries (such as
+        :meth:`reversed`, which :meth:`potential` reads) never pay for
+        the dict.
+        """
+        if self._edge_slot is None:
+            self._edge_slot = dict(zip(
+                zip(self._tails().tolist(), self.indices.tolist()),
+                range(self.edge_count),
+            ))
+        return self._edge_slot
 
     @property
     def node_count(self) -> int:
@@ -170,18 +203,36 @@ class CSRGraph:
         nodes = self.nodes
         return [nodes[i] for i in idx_path]
 
+    def _tails(self) -> np.ndarray:
+        """The tail index of every edge slot."""
+        return np.repeat(
+            np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr)
+        )
+
     def reversed(self) -> CSRGraph:
         """The view of the reverse graph: every edge flipped, same nodes.
 
         Node interning is shared with this view, so index-space results
         of the two views line up.
         """
-        tails = np.repeat(
-            np.arange(self.node_count, dtype=np.int64), np.diff(self.indptr)
-        )
         return CSRGraph._from_edges(
-            self.nodes, self.index, self.indices, tails, self.weights,
+            self.nodes, self.index, self.indices, self._tails(), self.weights,
         )
+
+    def potential(self, dst: int) -> np.ndarray:
+        """``h[v]``: the distance from ``v`` to ``dst``, by index.
+
+        Computed on this view with no masks and no bans (one Dijkstra on
+        the reverse view) and cached per target.  Masks and bans only
+        remove edges, so ``h`` lower-bounds the distance to ``dst`` of
+        every query on this view; ``inf`` marks nodes that cannot reach
+        ``dst`` at all.
+        """
+        h = self._potentials.get(dst)
+        if h is None:
+            h, _prev = _run_dijkstra(self.reversed(), dst, -1, None, None)
+            self._potentials[dst] = h
+        return h
 
 
 def csr_of(graph: DiGraph) -> CSRGraph:
@@ -205,35 +256,46 @@ def _run_dijkstra(
     dst: int,
     banned_nodes: np.ndarray | None,
     banned_edges: np.ndarray | None,
+    potential: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array Dijkstra from ``src``; early-exits once ``dst`` is popped.
+    """Array Dijkstra (A* under a ``potential``) from ``src``.
 
-    ``dst`` may be ``-1`` for a full single-source run.  Returns
-    ``(dist, prev)`` index-space arrays.
+    Early-exits once ``dst`` is popped; ``dst`` may be ``-1`` for a full
+    single-source run.  Returns ``(dist, prev)`` index-space arrays.
+
+    ``potential`` is :meth:`CSRGraph.potential` of ``dst`` (``None``
+    means zero, plain Dijkstra).  The heap is ordered by ``(g + h[v],
+    g, v)``, where ``g`` is the same left-to-right sum of edge weights
+    plain Dijkstra carries, so a returned cost is the float sum of its
+    path's weights.  Nodes with ``h = inf`` cannot reach ``dst`` and get
+    ``dist = -inf`` up front, like banned nodes: nothing beats ``-inf``,
+    so they are never relaxed into and never pushed.
 
     Two classic Dijkstra structures are deliberately absent:
 
     * No decrease-key — superseded heap entries are pruned lazily on pop
-      via ``d > dist[u]`` (a node's pushes carry strictly decreasing
+      via ``g > dist[u]`` (a node's pushes carry strictly decreasing
       distances, so only its best entry survives the guard).
-    * No visited array — with non-negative weights a finalized node can
-      never be re-relaxed (``nd >= d >= dist[v]`` fails the strict
-      improvement test), so the relaxation needs no membership check.
-      Banned nodes get ``dist = -inf`` up front: nothing beats ``-inf``,
-      so they are never relaxed into and never pushed.
+    * No visited array — relaxation is the strict improvement test
+      ``nd < dist[v]``.  Under a zero or consistent potential a popped
+      node is final and that test never passes for it again; should
+      rounding in ``g + h`` ever pop a node before its best ``g``, the
+      improvement re-pushes it and it is expanded again.
     """
     n = csr.node_count
     dist = np.full(n, np.inf)
     prev = np.full(n, -1, dtype=np.int64)
+    if potential is not None:
+        dist[np.isinf(potential)] = -np.inf
     if banned_nodes is not None:
         dist[banned_nodes] = -np.inf
     dist[src] = 0.0
     indptr, indices, weights = csr.indptr_list, csr.indices, csr.weights
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    heap: list[tuple[float, float, int]] = [(0.0, 0.0, src)]
     push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
+        _f, g, u = pop(heap)
+        if g > dist[u]:
             continue  # a stale (superseded) entry
         if u == dst:
             break
@@ -241,7 +303,7 @@ def _run_dijkstra(
         if lo == hi:
             continue
         nbrs = indices[lo:hi]
-        nd = d + weights[lo:hi]
+        nd = g + weights[lo:hi]
         better = nd < dist[nbrs]
         if banned_edges is not None:
             better &= ~banned_edges[lo:hi]
@@ -251,8 +313,9 @@ def _run_dijkstra(
         nds = nd[better]
         dist[vs] = nds
         prev[vs] = u
-        for v, val in zip(vs.tolist(), nds.tolist()):
-            push(heap, (val, v))
+        fs = nds if potential is None else nds + potential[vs]
+        for f, val, v in zip(fs.tolist(), nds.tolist(), vs.tolist()):
+            push(heap, (f, val, v))
     return dist, prev
 
 
@@ -337,10 +400,11 @@ def csr_k_shortest_paths(
     except KeyError:
         raise KeyError(f"target {target!r} not in graph") from None
 
-    base_mask = csr.edge_mask(graph.masked_edges)
     if src == dst:
         return [([source], 0.0)]
-    dist, prev = _run_dijkstra(csr, src, dst, None, base_mask)
+    base_mask = csr.edge_mask(graph.masked_edges)
+    potential = csr.potential(dst)
+    dist, prev = _run_dijkstra(csr, src, dst, None, base_mask, potential)
     if not np.isfinite(dist[dst]):
         return []
     first = _walk_back(prev, src, dst)
@@ -387,7 +451,7 @@ def csr_k_shortest_paths(
             for slot in banned_slots:
                 edge_scratch[slot] = True
             dist, prev = _run_dijkstra(
-                csr, prev_path[i], dst, node_scratch, edge_scratch
+                csr, prev_path[i], dst, node_scratch, edge_scratch, potential
             )
             for slot in banned_slots:
                 edge_scratch[slot] = False

@@ -114,7 +114,7 @@ def prepare_cache(
             new_graph = build_weighted_graph(new.template, None)
             if cache.seed(REGION_PATHLOSS, new_gkey, new_graph, stats):
                 info["graph_seeded"] = 1
-            changed = _edge_changes(old, new)
+            changed = _delta_changes(deltas)
             replayer = _YenReplayer(
                 new_graph, old_gkey, new_gkey, changed,
                 resolve_backend(backend),
@@ -178,19 +178,26 @@ def cold_resolve(
 # -- Yen pool replay ----------------------------------------------------------
 
 
-def _edge_changes(
-    old: Scenario, new: Scenario
+def _delta_changes(
+    deltas: tuple[EditDelta, ...],
 ) -> dict[tuple[int, int], tuple[float | None, float | None]]:
-    """Directed edges whose weight differs between the two templates."""
-    old_edges = {(u, v): w for u, v, w in old.template.edges()}
-    new_edges = {(u, v): w for u, v, w in new.template.edges()}
-    out: dict[tuple[int, int], tuple[float | None, float | None]] = {}
-    for key in set(old_edges) | set(new_edges):
-        w_old = old_edges.get(key)
-        w_new = new_edges.get(key)
-        if w_old != w_new:
-            out[key] = (w_old, w_new)
-    return out
+    """Directed edges whose weight differs across a chain of edits.
+
+    Each delta lists the edges its edit changed against the template
+    before it, so the net change of an edge is its first ``old`` and
+    its last ``new``; edges a later edit put back are dropped.
+    """
+    first_old: dict[tuple[int, int], float | None] = {}
+    last_new: dict[tuple[int, int], float | None] = {}
+    for delta in deltas:
+        for u, v, w_old, w_new in delta.changed_edges:
+            first_old.setdefault((u, v), w_old)
+            last_new[(u, v)] = w_new
+    return {
+        key: (w_old, last_new[key])
+        for key, w_old in first_old.items()
+        if w_old != last_new[key]
+    }
 
 
 class _YenReplayer:
@@ -210,9 +217,7 @@ class _YenReplayer:
         self.changed = changed
         self.backend = backend
         self._forward: dict[int, npt.NDArray[np.float64]] = {}
-        self._backward: dict[int, npt.NDArray[np.float64]] = {}
         self._view: CSRGraph | None = None
-        self._reversed: CSRGraph | None = None
 
     def _csr(self) -> CSRGraph:
         """The new graph's CSR view.
@@ -233,11 +238,8 @@ class _YenReplayer:
 
     def _dist_to(self, target: int) -> npt.NDArray[np.float64]:
         """Distances to ``target`` on the new graph, by CSR index."""
-        if target not in self._backward:
-            if self._reversed is None:
-                self._reversed = self._csr().reversed()
-            self._backward[target] = csr_distances(self._reversed, target)
-        return self._backward[target]
+        csr = self._csr()
+        return csr.potential(csr.index[target])
 
     def _distance(self, dist: npt.NDArray[np.float64], node: int) -> float:
         index = self._csr().index.get(node)

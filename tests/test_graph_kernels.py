@@ -5,9 +5,14 @@ array-backed kernels (:mod:`repro.graph.kernels`) return *exactly* the
 same paths and (to float tolerance) the same costs as the pure-Python
 reference implementations.  The property suites below use continuous
 random weights so cost ties are measure-zero and exact path-sequence
-comparison is meaningful.
+comparison is meaningful.  Under ties (the integer-weight suites) only
+the cost sequence is fixed, and on the graphs Algorithm 1 queries the
+goal-directed Yen must return exactly what the plain-Dijkstra Yen did.
 """
 
+import dataclasses
+import heapq
+import itertools
 import random
 
 import numpy as np
@@ -26,6 +31,7 @@ from repro.graph.dijkstra import shortest_path as ref_shortest_path
 from repro.graph.dijkstra import shortest_path_tree
 from repro.graph.kernels import (
     CSRGraph,
+    _run_dijkstra,
     csr_distances,
     csr_k_shortest_paths,
     csr_of,
@@ -457,3 +463,268 @@ class TestKernelScratchState:
         forced = k_shortest_paths(g, 0, n - 1, 5, backend="csr")
         assert auto == forced
         assert np.isfinite([c for _, c in auto]).all()
+
+
+def integer_graph(
+    seed: int, n_lo: int = 5, n_hi: int = 12, dead_ends: int = 0,
+) -> tuple[DiGraph, int]:
+    """A random digraph with weights in 0..3: zero-weight edges and cost
+    ties everywhere.  ``dead_ends`` extra nodes are entered from the
+    main part but never lead back to it, so they cannot reach any
+    target there."""
+    rng = random.Random(seed)
+    n = rng.randint(n_lo, n_hi)
+    g = DiGraph()
+    for i in range(n + dead_ends):
+        g.add_node(i)
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.4:
+                g.add_edge(u, v, float(rng.randint(0, 3)))
+    for d in range(n, n + dead_ends):
+        for u in rng.sample(range(n), 3):
+            g.add_edge(u, d, float(rng.randint(0, 3)))
+        if d > n:
+            g.add_edge(d, d - 1, float(rng.randint(0, 3)))
+    return g, n
+
+
+class TestPotential:
+    """The A* potential: exact distances to the target, cached per view."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_reverse_distances_and_is_consistent(self, seed):
+        g, n = integer_graph(seed, dead_ends=2)
+        rev = DiGraph()
+        for node in g.nodes():
+            rev.add_node(node)
+        for u, v, w in g.edges():
+            rev.add_edge(v, u, w)
+        csr = csr_of(g)
+        for target in range(n):
+            h = csr.potential(csr.index[target])
+            ref = shortest_path_tree(rev, target)
+            for node in g.nodes():
+                assert h[csr.index[node]] == ref.get(node, np.inf)
+            for u, v, w in g.edges():
+                assert h[csr.index[u]] <= w + h[csr.index[v]]
+        assert np.isinf(csr.potential(csr.index[0])[csr.index[n]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_search_never_enters_nodes_that_cannot_reach_the_target(
+        self, seed
+    ):
+        g, n = integer_graph(seed, dead_ends=3)
+        csr = csr_of(g)
+        dst = csr.index[n - 1]
+        h = csr.potential(dst)
+        dead = [csr.index[d] for d in range(n, n + 3)]
+        assert np.isinf(h[dead]).all()
+        _dist, prev = _run_dijkstra(csr, csr.index[0], dst, None, None, h)
+        assert (prev[dead] == -1).all()
+
+    def test_cached_on_the_view_and_shared_by_copies(self):
+        g = diamond()
+        csr = csr_of(g)
+        h = csr.potential(csr.index["t"])
+        assert csr.potential(csr.index["t"]) is h
+        g.mask_edge("s", "a")
+        assert csr_of(g.copy()).potential(csr.index["t"]) is h
+
+
+class TestGoalDirectedYen:
+    """Under ties the choice among equal-cost paths is free, but the cost
+    sequence of the K cheapest loopless paths is not."""
+
+    def assert_valid_and_cost_equal(self, g, source, target, k):
+        ref = ref_k_shortest_paths(g, source, target, k)
+        got = csr_k_shortest_paths(g, source, target, k)
+        assert [c for _, c in got] == [c for _, c in ref]
+        assert len({tuple(p) for p, _ in got}) == len(got)
+        for path, cost in got:
+            assert path[0] == source and path[-1] == target
+            assert len(set(path)) == len(path)
+            # inf when the path uses a masked edge.
+            assert cost == g.subgraph_weight(path)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integer_weights(self, seed):
+        g, n = integer_graph(seed)
+        self.assert_valid_and_cost_equal(g, 0, n - 1, 8)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dead_ends_and_masks(self, seed):
+        g, n = integer_graph(seed, dead_ends=3)
+        rng = random.Random(seed + 3000)
+        edges = [(u, v) for u, v, _ in g.edges()]
+        for u, v in rng.sample(edges, len(edges) // 6):
+            g.mask_edge(u, v)
+        self.assert_valid_and_cost_equal(g, 0, n - 1, 8)
+        # A source that cannot reach the target at all.
+        assert csr_k_shortest_paths(g, n + 2, n - 1, 3) == []
+
+
+def dijkstra_oracle(csr, src, dst, banned_nodes, banned_edges):
+    """The plain (potential-free) array Dijkstra the A* search replaced."""
+    dist = np.full(csr.node_count, np.inf)
+    prev = np.full(csr.node_count, -1, dtype=np.int64)
+    if banned_nodes is not None:
+        dist[banned_nodes] = -np.inf
+    dist[src] = 0.0
+    indptr, indices, weights = csr.indptr_list, csr.indices, csr.weights
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == dst:
+            break
+        lo, hi = indptr[u], indptr[u + 1]
+        if lo == hi:
+            continue
+        nbrs = indices[lo:hi]
+        nd = d + weights[lo:hi]
+        better = nd < dist[nbrs]
+        if banned_edges is not None:
+            better &= ~banned_edges[lo:hi]
+        vs = nbrs[better]
+        if vs.size == 0:
+            continue
+        nds = nd[better]
+        dist[vs] = nds
+        prev[vs] = u
+        for v, val in zip(vs.tolist(), nds.tolist()):
+            heapq.heappush(heap, (val, v))
+    return dist, prev
+
+
+def walk_back(prev, src, dst):
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(prev[path[-1]]))
+    path.reverse()
+    return path
+
+
+def yen_oracle(graph, source, target, k):
+    """The Lawler-Yen kernel as it ran on plain Dijkstra spurs."""
+    csr = csr_of(graph)
+    src, dst = csr.index[source], csr.index[target]
+    base_mask = csr.edge_mask(graph.masked_edges)
+    if src == dst:
+        return [([source], 0.0)]
+    dist, prev = dijkstra_oracle(csr, src, dst, None, base_mask)
+    if not np.isfinite(dist[dst]):
+        return []
+    first = walk_back(prev, src, dst)
+    weights, edge_slot = csr.weights, csr.edge_slot
+    edge_scratch = (
+        base_mask.copy() if base_mask is not None
+        else np.zeros(csr.edge_count, dtype=bool)
+    )
+    node_scratch = np.zeros(csr.node_count, dtype=bool)
+    accepted = [(first, float(dist[dst]))]
+    spur_index = [0]
+    seen = {tuple(first)}
+    counter = itertools.count()
+    candidates = []
+    prefix_bans = {}
+
+    def register(path):
+        for i in range(len(path) - 1):
+            slot = edge_slot[(path[i], path[i + 1])]
+            prefix_bans.setdefault(tuple(path[: i + 1]), []).append(slot)
+
+    register(first)
+    while len(accepted) < k:
+        prev_path, _ = accepted[-1]
+        start = spur_index[-1]
+        prefix_cost = 0.0
+        for j in range(start):
+            prefix_cost += weights[edge_slot[(prev_path[j], prev_path[j + 1])]]
+        for u in prev_path[:start]:
+            node_scratch[u] = True
+        for i in range(start, len(prev_path) - 1):
+            if i > start:
+                node_scratch[prev_path[i - 1]] = True
+            banned_slots = prefix_bans.get(tuple(prev_path[: i + 1]), ())
+            for slot in banned_slots:
+                edge_scratch[slot] = True
+            dist, prev = dijkstra_oracle(
+                csr, prev_path[i], dst, node_scratch, edge_scratch
+            )
+            for slot in banned_slots:
+                edge_scratch[slot] = False
+            if base_mask is not None:
+                np.logical_or(edge_scratch, base_mask, out=edge_scratch)
+            if np.isfinite(dist[dst]):
+                total = prev_path[:i] + walk_back(prev, prev_path[i], dst)
+                key = tuple(total)
+                if key not in seen:
+                    seen.add(key)
+                    register(total)
+                    heapq.heappush(candidates, (
+                        prefix_cost + float(dist[dst]), next(counter),
+                        total, i,
+                    ))
+            prefix_cost += weights[edge_slot[(prev_path[i], prev_path[i + 1])]]
+        node_scratch[:] = False
+        if not candidates:
+            break
+        cost, _, path, si = heapq.heappop(candidates)
+        accepted.append((path, cost))
+        spur_index.append(si)
+    return [(csr.to_nodes(path), cost) for path, cost in accepted]
+
+
+class TestAlgorithmOneGraphs:
+    """On the path-loss graphs Algorithm 1 actually queries, disconnection
+    masks and all, the goal-directed kernel returns exactly what the
+    plain-Dijkstra kernel returned: same paths, same float costs."""
+
+    @staticmethod
+    def pools_match_oracle(graph, routes, k_star):
+        from repro.encoding.approximate import generate_candidate_pool
+
+        queries = 0
+
+        def yen(g, source, target, k):
+            nonlocal queries
+            queries += 1
+            got = csr_k_shortest_paths(g, source, target, k)
+            assert got == yen_oracle(g, source, target, k)
+            return got
+
+        for req in routes:
+            generate_candidate_pool(graph, req, k_star, yen=yen)
+        return queries
+
+    def test_synthetic_template(self):
+        from repro import RequirementSet, synthetic_template
+        from repro.runtime.cache import build_weighted_graph
+
+        instance = synthetic_template(20, 5, seed=1)
+        reqs = RequirementSet()
+        for sensor in instance.sensor_ids:
+            reqs.require_route(sensor, instance.sink_id, replicas=2,
+                               disjoint=True)
+        graph = build_weighted_graph(instance.template)
+        assert self.pools_match_oracle(graph, reqs.routes, 10) > len(reqs.routes)
+
+    def test_campus_what_if_graph(self):
+        from repro.runtime.cache import build_weighted_graph
+        from repro.scenarios import apply_edits, default_registry, parse_edit
+
+        base = default_registry().generate(
+            "campus:buildings_x=2,buildings_y=2:0"
+        )
+        edited, _ = apply_edits(
+            base, (parse_edit("add-wall:30,5,30,25,brick"),)
+        )
+        graph = build_weighted_graph(edited.template)
+        # Disjoint replicas force the disconnection rounds.
+        routes = [
+            dataclasses.replace(req, replicas=2, disjoint=True)
+            for req in edited.requirements.routes
+        ]
+        assert self.pools_match_oracle(graph, routes, 12) > len(routes)

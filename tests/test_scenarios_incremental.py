@@ -11,6 +11,20 @@ from repro.scenarios import (
     parse_edit,
     prepare_cache,
 )
+from repro.scenarios.incremental import _delta_changes
+
+
+def edge_changes(old, new):
+    """Oracle: diff the two full templates' weighted edge maps."""
+    old_edges = {(u, v): w for u, v, w in old.template.edges()}
+    new_edges = {(u, v): w for u, v, w in new.template.edges()}
+    out = {}
+    for key in set(old_edges) | set(new_edges):
+        w_old = old_edges.get(key)
+        w_new = new_edges.get(key)
+        if w_old != w_new:
+            out[key] = (w_old, w_new)
+    return out
 
 
 def solve_then_edit(name: str, *edit_texts: str):
@@ -121,6 +135,45 @@ class TestPrepareCache:
         info = prepare_cache(scenario, edited, deltas, EncodeCache())
         assert info["graph_seeded"] == 0
         assert info["yen_rounds_seeded"] == 0
+
+
+class TestDeltaChanges:
+    """The replay's changed edges, composed from the edit deltas, equal
+    a diff of the old and new templates."""
+
+    @pytest.mark.parametrize("edit_texts", [
+        ("add-wall:30,5,30,25,brick",),
+        ("remove-wall:0",),
+        ("move-node:9,16.5,14",),
+        ("swap-device:relay-std=relay-lp",),
+        ("set-replicas:0,1",),
+        ("set-min-snr:21",),
+        ("add-wall:30,5,30,25,brick", "move-node:9,16.5,14",
+         "remove-wall:0"),
+        ("move-node:9,16.5,14", "set-min-snr:21", "move-node:10,36,12",
+         "add-wall:5,20,25,20,concrete", "swap-device:relay-std=relay-lp",
+         "move-node:9,12,15"),
+        # Edits undone later: their edges must drop out of the net change.
+        ("add-wall:30,5,30,25,brick", "remove-wall:20"),
+        ("move-node:9,16.5,14", "move-node:9,15,13"),
+    ])
+    def test_matches_template_diff(self, edit_texts):
+        scenario = default_registry().generate(
+            "campus:buildings_x=2,buildings_y=2:0"
+        )
+        edits = tuple(parse_edit(t) for t in edit_texts)
+        edited, deltas = apply_edits(scenario, edits)
+        assert _delta_changes(deltas) == edge_changes(scenario, edited)
+
+    def test_undone_edits_leave_no_change(self):
+        scenario = default_registry().generate(
+            "campus:buildings_x=2,buildings_y=2:0"
+        )
+        edits = (parse_edit("add-wall:30,5,30,25,brick"),
+                 parse_edit("remove-wall:20"))
+        edited, deltas = apply_edits(scenario, edits)
+        assert deltas[0].changed_edges
+        assert _delta_changes(deltas) == {}
 
 
 class TestWarmStart:
