@@ -1,31 +1,26 @@
-"""Acceleration benchmark: warm starts, lazy cuts, portfolio TTFI.
+"""Acceleration benchmark: warm starts and portfolio TTFI.
 
 Builds the data-collection problem for the synthetic Table 3 families
 (see ``bench_table3_scalability.py``) and runs three end-to-end
 configurations of :class:`repro.DataCollectionExplorer` per instance:
 
 * **cold** — the plain exact solve, no acceleration;
-* **warm+lazy** — ``warm_start=True, lazy_cuts=True``: the greedy
-  primal heuristic's incumbent reaches the backend (native
-  ``setSolution`` with highspy installed, an objective-cutoff row on
-  the scipy fallback) and the solver is wrapped in the lazy-constraint
-  resolve loop;
+* **warm** — ``warm_start=True``: the greedy primal heuristic's
+  incumbent reaches the backend (native ``setSolution`` with highspy
+  installed, an objective-cutoff row on the scipy fallback);
 * **portfolio** — ``portfolio=True``: the tabu synthesizer raced
   against the exact solve, measuring time-to-first-incumbent (TTFI).
 
 Every configuration must land on the same objective (the acceleration
 layer is exactness-preserving by construction).  The per-case record
-carries both wall-clock times, the warm-start verdict (source, bound,
-consumption mechanism), the lazy-cut round log, and the portfolio TTFI
-as an absolute time and as a fraction of the cold solve.  A dedicated
-``separation`` sub-record exercises the resolve loop with its
-profitability guard disabled on the smallest instance, so the round/cut
-counts are measured rather than skipped.
+carries the wall-clock times, the warm-start verdict (source, bound,
+consumption mechanism) and the portfolio TTFI as an absolute time and
+as a fraction of the cold solve.
 
 The gate (``--quick`` exits non-zero on failure; CI runs it as a
 regression tripwire) requires every case to be objective-exact and at
 least one case to show a >= ``GATE_SPEEDUP`` end-to-end speedup
-(warm+lazy vs cold) together with a portfolio TTFI <=
+(warm vs cold) together with a portfolio TTFI <=
 ``GATE_TTFI_FRAC`` of the cold time on that same instance;
 docs/performance.md describes the envelope.
 
@@ -55,7 +50,6 @@ from repro import (  # noqa: E402
     default_catalog,
     synthetic_template,
 )
-from repro.accel import LazyCutSolver  # noqa: E402
 from repro.network import (  # noqa: E402
     LifetimeRequirement,
     LinkQualityRequirement,
@@ -70,8 +64,8 @@ K_STAR = 10
 TIME_LIMIT = 600.0
 #: Relative tolerance of the objective-equality check.
 OBJ_TOL = 1e-6
-#: At least one case must be this much faster end-to-end (warm + lazy
-#: vs cold) ...
+#: At least one case must be this much faster end-to-end (warm vs
+#: cold) ...
 GATE_SPEEDUP = 1.5
 #: ... with the portfolio's first incumbent inside this fraction of the
 #: cold time on the same instance.
@@ -110,42 +104,15 @@ def _timed_solve(instance, reqs, repeats: int, **flags):
     return result, best_s
 
 
-def _separation_record(instance, reqs) -> dict:
-    """The resolve loop with its profitability guard off, so the round
-    and cut counts are actually measured on a Table 3 model."""
-    built = make_explorer(instance, reqs).build("cost")
-    cold = HighsSolver(time_limit=TIME_LIMIT).solve(built.model)
-    start = time.perf_counter()
-    lazy = LazyCutSolver(
-        HighsSolver(time_limit=TIME_LIMIT), min_deferred_fraction=0.0,
-    ).solve(built.model)
-    elapsed = time.perf_counter() - start
-    info = lazy.extra.get("lazy_cuts", {})
-    delta = abs(lazy.objective - cold.objective)
-    return {
-        "solve_s": elapsed,
-        "rounds": info.get("rounds", []),
-        "cuts_added": info.get("cuts_added", 0),
-        "still_deferred": info.get("still_deferred", 0),
-        "families": info.get("families", []),
-        "objective_exact": delta <= OBJ_TOL * max(1.0, abs(cold.objective)),
-    }
-
-
-def run_case(
-    n_total: int, n_end: int, repeats: int = 1, separation: bool = False,
-) -> dict:
+def run_case(n_total: int, n_end: int, repeats: int = 1) -> dict:
     """One instance through all three configurations."""
     instance, reqs = make_problem(n_total, n_end)
 
     cold, cold_s = _timed_solve(instance, reqs, repeats)
-    accel, accel_s = _timed_solve(
-        instance, reqs, repeats, warm_start=True, lazy_cuts=True,
-    )
+    accel, accel_s = _timed_solve(instance, reqs, repeats, warm_start=True)
     portfolio, portfolio_s = _timed_solve(instance, reqs, 1, portfolio=True)
 
     warm_info = accel.solution.extra.get("warm_start", {})
-    lazy_info = accel.solution.extra.get("lazy_cuts", {})
     port_meta = portfolio.solution.extra.get("portfolio", {})
     ttfi = port_meta.get("first_incumbent_s")
 
@@ -159,7 +126,7 @@ def run_case(
             "objective": cold.objective_value,
             "e2e_s": cold_s,
         },
-        "warm_lazy": {
+        "warm": {
             "status": accel.status.name,
             "objective": accel.objective_value,
             "e2e_s": accel_s,
@@ -168,11 +135,6 @@ def run_case(
                 "source": warm_info.get("source"),
                 "objective": warm_info.get("objective"),
                 "mechanism": warm_info.get("mechanism"),
-            },
-            "lazy_cuts": {
-                "skipped": lazy_info.get("skipped"),
-                "rounds": len(lazy_info.get("rounds", [])),
-                "cuts_added": lazy_info.get("cuts_added", 0),
             },
         },
         "portfolio": {
@@ -192,8 +154,6 @@ def run_case(
     }
     port_delta = abs(portfolio.objective_value - cold.objective_value)
     case["portfolio"]["objective_exact"] = port_delta <= OBJ_TOL * scale
-    if separation:
-        case["separation"] = _separation_record(instance, reqs)
     return case
 
 
@@ -204,7 +164,7 @@ def evaluate_gate(cases: list[dict]) -> dict:
     for case in cases:
         if not case["objective_exact"]:
             failures.append(
-                f"{case['name']}: warm+lazy objective drifted by "
+                f"{case['name']}: warm objective drifted by "
                 f"{case['objective_delta']:.3g}"
             )
         if not case["portfolio"]["objective_exact"]:
@@ -220,7 +180,7 @@ def evaluate_gate(cases: list[dict]) -> dict:
     ]
     if not qualifying:
         failures.append(
-            f"no case reached {GATE_SPEEDUP}x warm+lazy speedup with "
+            f"no case reached {GATE_SPEEDUP}x warm-start speedup with "
             f"portfolio TTFI <= {GATE_TTFI_FRAC:.0%} of the cold solve"
         )
     best = max(cases, key=lambda c: c["speedup"])
@@ -239,14 +199,7 @@ def evaluate_gate(cases: list[dict]) -> dict:
 def run_benchmarks(quick: bool) -> dict:
     sizes = SIZES_QUICK if quick else SIZES_FULL
     repeats = 1 if quick else 2
-    cases = [
-        run_case(
-            n_total, n_end, repeats,
-            # The smallest instance also measures raw separation rounds.
-            separation=(n_total, n_end) == sizes[0],
-        )
-        for n_total, n_end in sizes
-    ]
+    cases = [run_case(n_total, n_end, repeats) for n_total, n_end in sizes]
     gate = evaluate_gate(cases)
     return {
         "cases": cases,
@@ -271,14 +224,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_benchmarks(args.quick)
 
-    print(f"{'case':<22} {'cold s':>8} {'w+l s':>8} {'speedup':>8} "
+    print(f"{'case':<22} {'cold s':>8} {'warm s':>8} {'speedup':>8} "
           f"{'ttfi s':>8} {'ttfi %':>7} {'exact':>6}")
     for case in report["cases"]:
         port = case["portfolio"]
         ttfi = port["ttfi_s"]
         frac = port["ttfi_frac"]
         print(f"{case['name']:<22} {case['cold']['e2e_s']:>8.3f} "
-              f"{case['warm_lazy']['e2e_s']:>8.3f} "
+              f"{case['warm']['e2e_s']:>8.3f} "
               f"{case['speedup']:>8.2f} "
               f"{ttfi if ttfi is None else round(ttfi, 4)!s:>8} "
               f"{frac if frac is None else round(100 * frac, 2)!s:>7} "

@@ -23,7 +23,6 @@ Quickstart::
 """
 
 from repro.accel import (
-    LazyCutSolver,
     TabuSynthesizer,
     WarmStart,
     compute_warm_start,
@@ -146,7 +145,6 @@ __all__ = [
     "JobRequest",
     "JobResult",
     "KStarSearchResult",
-    "LazyCutSolver",
     "Library",
     "LifetimeRequirement",
     "LinkQualityRequirement",

@@ -67,8 +67,8 @@ def race_portfolio(
 ) -> Solution:
     """Race ``synthesizer`` against the ``exact`` thunk.
 
-    ``exact`` must return a :class:`Solution` in the *original* variable
-    space (the caller bakes presolve restore into the thunk).
+    ``exact`` must return a :class:`Solution` over the model's variable
+    space.
     ``assignment_of`` lifts a tabu :class:`Architecture` into a full
     model assignment (the warm-start restricted solve); without it a
     tabu win degrades to an assignment-free FEASIBLE solution that still

@@ -17,12 +17,6 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
-from repro.analysis.presolve import (
-    PRESOLVE_MODES,
-    PresolveReport,
-    PresolveResult,
-    presolve,
-)
 from repro.analysis.rules import (
     ModelRule,
     Rule,
@@ -36,13 +30,10 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "PRESOLVE_MODES",
     "AnalysisError",
     "AnalysisReport",
     "Diagnostic",
     "ModelRule",
-    "PresolveReport",
-    "PresolveResult",
     "Rule",
     "Severity",
     "SpecContext",
@@ -51,7 +42,6 @@ __all__ = [
     "analyze_problem",
     "model_rule",
     "model_rules",
-    "presolve",
     "rule_catalog",
     "spec_rule",
     "spec_rules",

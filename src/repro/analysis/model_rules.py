@@ -232,7 +232,7 @@ class LooseBigMRule(ModelRule):
     """Indicator big-M constants should be as tight as the bounds allow.
 
     The activity analysis runs over *fixpoint-propagated* bounds
-    (:func:`repro.analysis.presolve.propagated_bounds`), not the raw
+    (:func:`repro.analysis.propagation.propagated_bounds`), not the raw
     declared bounds.  This retires a whole class of false positives: a
     row like ``c - 50*b >= -44`` looks like a loose M=50 against
     ``c in [0, 10]``, but when another row forces ``c >= 6`` the

@@ -31,6 +31,7 @@ import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
+from repro.analysis import propagation
 from repro.milp.expr import LinExpr
 from repro.milp.model import ForeignIndexError, Model, StandardForm
 
@@ -128,14 +129,10 @@ class ModelScan:
     def propagated_activity(self) -> tuple[FloatArray, FloatArray]:
         """Row activity intervals over fixpoint-propagated bounds.
 
-        Runs :func:`repro.analysis.presolve.propagated_bounds` on
+        Runs :func:`repro.analysis.propagation.propagated_bounds` on
         :attr:`owned`, so only read it when a finding depends on it.
         """
-        # Deferred import: the presolve package imports the diagnostics
-        # types from this package's siblings.
-        from repro.analysis.presolve import propagated_bounds
-
-        lower, upper, _ = propagated_bounds(self.owned)
+        lower, upper, _ = propagation.propagated_bounds(self.owned)
         return self.activity(
             np.array(lower, dtype=float), np.array(upper, dtype=float),
         )

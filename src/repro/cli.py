@@ -78,29 +78,12 @@ from repro.spec.problem import compile_spec
 from repro.validation.checker import validate
 
 
-def _add_presolve_arg(command: argparse.ArgumentParser) -> None:
-    """The shared ``--presolve`` mode flag (see docs/formulation.md)."""
-    command.add_argument(
-        "--presolve", choices=["off", "reduce", "full"], default="off",
-        help="run the static presolve engine on the built model before "
-             "solving: 'reduce' transforms the model (bound propagation, "
-             "variable fixing, row/column merging), 'full' additionally "
-             "adds symmetry-breaking rows (default: off)",
-    )
-
-
 def _add_accel_args(command: argparse.ArgumentParser) -> None:
     """The shared MILP-acceleration flags (see docs/performance.md)."""
     command.add_argument(
         "--warm-start", action="store_true",
         help="seed the MILP solve with a greedy primal incumbent rounded "
              "from the Yen candidate pools (see docs/performance.md)",
-    )
-    command.add_argument(
-        "--lazy-cuts", action="store_true",
-        help="defer the big-M link-quality rows and re-add only the "
-             "violated ones in a resolve loop (exact; see "
-             "docs/performance.md)",
     )
     command.add_argument(
         "--portfolio", action="store_true",
@@ -170,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="retry crashed/errored solves up to N times "
                           "before falling back (enables the solver "
                           "watchdog; see docs/robustness.md)")
-    _add_presolve_arg(syn)
     _add_accel_args(syn)
     _add_failures_arg(syn)
     syn.add_argument("--checkpoint", type=Path, metavar="FILE",
@@ -203,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored solves up to N times "
                           "(enables the solver watchdog)")
-    _add_presolve_arg(loc)
     _add_accel_args(loc)
     _add_telemetry_args(loc)
 
@@ -221,12 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="run spec-level rules only; skip building the MILP")
     lint.add_argument("--json", action="store_true",
                       help="emit the full report as JSON on stdout")
-    lint.add_argument("--presolve", nargs="?", const="full",
-                      choices=["reduce", "full"], metavar="MODE",
-                      help="additionally run the presolve engine on the "
-                           "built model and report its reductions (MODE is "
-                           "'reduce' or 'full', default 'full'); a proved "
-                           "infeasibility is a blocking error")
 
     sub.add_parser("catalog", help="print the component library")
 
@@ -255,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kst.add_argument("--max-retries", type=int, metavar="N",
                      help="retry crashed/errored rung solves up to N times "
                           "(enables the solver watchdog)")
-    _add_presolve_arg(kst)
     _add_accel_args(kst)
     _add_failures_arg(kst)
     kst.add_argument("--checkpoint", type=Path, metavar="FILE",
@@ -420,9 +394,7 @@ def _cmd_synthesize(args) -> int:
                                mip_rel_gap=args.mip_gap),
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
-                                 presolve=args.presolve,
                                  warm_start=args.warm_start,
-                                 lazy_cuts=args.lazy_cuts,
                                  portfolio=args.portfolio,
                                  failures=args.failures,
                                  parallel=args.parallel,
@@ -530,9 +502,7 @@ def _cmd_localize(args) -> int:
             channel=instance.channel, k_star=args.k_star,
             options=SolveOptions(deadline_s=args.deadline,
                                  max_retries=args.max_retries,
-                                 presolve=args.presolve,
                                  warm_start=args.warm_start,
-                                 lazy_cuts=args.lazy_cuts,
                                  portfolio=args.portfolio),
         )
     except AnalysisError as exc:
@@ -629,13 +599,6 @@ def _cmd_lint(args) -> int:
             ))
         else:
             report.merge(analyze_model(built.model))
-            if args.presolve:
-                from repro.analysis.presolve import presolve
-
-                result = presolve(built.model, mode=args.presolve)
-                report.add(result.report.to_diagnostic())
-                if not args.json:
-                    print(f"presolve: {result.report.summary()}")
     return _emit_lint_report(args, report)
 
 
@@ -675,9 +638,7 @@ def _cmd_kstar(args) -> int:
                 parallel=args.parallel,
                 deadline_s=args.deadline,
                 max_retries=args.max_retries,
-                presolve=args.presolve,
                 warm_start=args.warm_start,
-                lazy_cuts=args.lazy_cuts,
                 portfolio=args.portfolio,
                 failures=args.failures,
                 checkpoint=args.checkpoint,

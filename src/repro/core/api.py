@@ -57,8 +57,9 @@ from repro.scenarios import (
 from repro.spec.problem import compile_spec
 
 #: Version of the job wire format (request envelopes).  Result payloads
-#: carry the ``--stats-json`` schema version instead.
-JOB_SCHEMA_VERSION = 1
+#: carry the ``--stats-json`` schema version instead.  v2 drops the
+#: ``presolve`` and ``lazy_cuts`` option fields.
+JOB_SCHEMA_VERSION = 2
 
 JOB_KINDS = ("synthesize", "localize", "kstar", "pareto", "scenario")
 

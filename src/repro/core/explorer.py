@@ -14,22 +14,17 @@ routing (via a pluggable path encoder), link quality and energy.
 
 Most callers should not instantiate explorers directly: the
 :func:`repro.explore` facade picks the right one and routes execution
-through the runtime.  The former entry points
-:class:`ArchitectureExplorer` and :class:`LocalizationExplorer` remain as
-deprecated shims.
+through the runtime.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro.analysis.analyzer import analyze_model, analyze_problem
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.analysis.presolve import PresolveResult
-from repro.analysis.presolve import presolve as run_presolve
 from repro.channel.base import ChannelModel
 from repro.constraints.energy import EnergyVars, build_energy
 from repro.constraints.link_quality import LinkQualityVars, build_link_quality
@@ -84,12 +79,6 @@ class BuiltProblem:
     objective_exprs: dict[str, LinExpr]
     #: Findings of the pre-solve static analyzer (None when disabled).
     analysis: AnalysisReport | None = None
-    #: The presolve transformation (None when presolve is off).  The
-    #: ``model`` field above always stays the *original* model — decode
-    #: handles and reported stats refer to it; the solve path runs the
-    #: solver on ``presolve.model`` and restores through
-    #: ``presolve.postsolve``.
-    presolve: PresolveResult | None = None
 
 
 class ExplorerBase(abc.ABC):
@@ -122,26 +111,13 @@ class ExplorerBase(abc.ABC):
         Run the pre-solve static analyzer in :meth:`build` (default).
         Disable only to reproduce raw encoder/solver behaviour on inputs
         the analyzer would refuse.
-    presolve:
-        Presolve mode applied to the built model before any solver call:
-        ``"off"`` (default), ``"reduce"`` (bound propagation, fixing,
-        merging) or ``"full"`` (additionally symmetry breaking).  The
-        solver sees the reduced model; solutions are restored to the
-        original variable space before decoding, and the
-        :class:`~repro.analysis.presolve.PresolveReport` rides on
-        ``SynthesisResult.diagnostics``.
     warm_start:
         Compute the greedy primal heuristic's feasible incumbent
         (:mod:`repro.accel.warmstart`) before each solve and hand it to
-        the backend through ``Model.hints["warm_start"]`` (forward-
-        mapped through presolve when that is armed).  Setting the
+        the backend through ``Model.hints["warm_start"]``.  Setting the
         :attr:`warm_start_architecture` attribute additionally lets a
         caller (the kstar ladder) seed the heuristic with a previous
         incumbent's topology.
-    lazy_cuts:
-        Solve through the :class:`~repro.accel.lazy.LazyCutSolver`
-        resolve loop: the big-M link-quality rows are deferred and only
-        violated ones are separated back in, round by round.
     portfolio:
         Race the anytime tabu synthesizer against the exact solve
         (:mod:`repro.accel.portfolio`); explorers whose problems carry
@@ -156,9 +132,7 @@ class ExplorerBase(abc.ABC):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
         portfolio: bool = False,
     ) -> None:
         self.template = template
@@ -166,9 +140,7 @@ class ExplorerBase(abc.ABC):
         self.solver = solver or HighsSolver()
         self.cache = cache
         self.analyze = analyze
-        self.presolve = presolve
         self.warm_start = warm_start
-        self.lazy_cuts = lazy_cuts
         self.portfolio = portfolio
         #: Optional previous incumbent whose topology seeds the greedy
         #: heuristic (the kstar ladder chains rungs through this).
@@ -240,11 +212,6 @@ class ExplorerBase(abc.ABC):
                     f"{type(self).__name__} model analysis"
                 )
             built.analysis = report if self.analyze else None
-            if self.presolve != "off":
-                with timings.phase("presolve"):
-                    built.presolve = run_presolve(
-                        built.model, mode=self.presolve
-                    )
             model_stats = built.model.stats()
             build_span.set_attributes(
                 variables=model_stats.num_vars,
@@ -306,10 +273,6 @@ class ExplorerBase(abc.ABC):
             diagnostics = []
             if built.analysis is not None:
                 diagnostics = built.analysis.errors + built.analysis.warnings
-            if built.presolve is not None:
-                diagnostics = diagnostics + [
-                    built.presolve.report.to_diagnostic()
-                ]
             diagnostics = diagnostics + _telemetry_diagnostics()
             solve_span.set_attribute("status", solution.status.name)
             return SynthesisResult(
@@ -331,25 +294,12 @@ class ExplorerBase(abc.ABC):
             )
 
     def _solve_built(self, built: BuiltProblem) -> Solution:
-        """Run the solver on ``built``, through presolve when armed.
+        """Run the solver on ``built``.
 
-        With presolve active the backend sees the reduced model and the
-        assignment is restored to the original variable space before it
-        reaches any decode handle.  A presolve infeasibility proof
-        short-circuits the backend entirely.  The acceleration layer
-        hooks in here: a greedy warm start lands on the solved model's
-        hints, ``lazy_cuts`` wraps the backend in the resolve loop, and
-        ``portfolio`` races the tabu synthesizer against the exact
-        solve.
+        The acceleration layer hooks in here: a greedy warm start lands
+        on the model's hints, and ``portfolio`` races the tabu
+        synthesizer against the exact solve.
         """
-        if built.presolve is not None and built.presolve.proved_infeasible:
-            return Solution(
-                status=SolveStatus.INFEASIBLE,
-                message=(
-                    "presolve proved infeasibility: "
-                    f"{built.presolve.report.infeasible_reason}"
-                ),
-            )
         warm = None
         if self.warm_start or self.portfolio:
             from repro.accel.warmstart import (
@@ -362,25 +312,9 @@ class ExplorerBase(abc.ABC):
             )
             if warm is not None and self.warm_start:
                 attach_warm_start(built.model, warm)
-                if built.presolve is not None:
-                    forwarded = built.presolve.postsolve.forward(warm.x)
-                    if forwarded is not None:
-                        built.presolve.model.hints["warm_start"] = {
-                            "x": forwarded,
-                            "objective": warm.objective,
-                            "source": warm.source,
-                        }
-        solver = self.solver
-        if self.lazy_cuts:
-            from repro.accel.lazy import LazyCutSolver
-
-            solver = LazyCutSolver(solver)
 
         def run_exact() -> Solution:
-            if built.presolve is None:
-                return solver.solve(built.model)
-            reduced = solver.solve(built.presolve.model)
-            return built.presolve.postsolve.restore(reduced)
+            return self.solver.solve(built.model)
 
         if self.portfolio:
             synthesizer = self._make_synthesizer(built, warm)
@@ -460,15 +394,12 @@ class DataCollectionExplorer(ExplorerBase):
         reach_k_star: int = 20,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
         portfolio: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
-            analyze=analyze, presolve=presolve, warm_start=warm_start,
-            lazy_cuts=lazy_cuts, portfolio=portfolio,
+            analyze=analyze, warm_start=warm_start, portfolio=portfolio,
         )
         self.requirements = requirements
         self.encoder = encoder or ApproximatePathEncoder(k_star=10)
@@ -589,15 +520,12 @@ class AnchorPlacementExplorer(ExplorerBase):
         solver=None,
         cache: EncodeCache | None = None,
         analyze: bool = True,
-        presolve: str = "off",
         warm_start: bool = False,
-        lazy_cuts: bool = False,
         portfolio: bool = False,
     ) -> None:
         super().__init__(
             template, library, solver=solver, cache=cache,
-            analyze=analyze, presolve=presolve, warm_start=warm_start,
-            lazy_cuts=lazy_cuts, portfolio=portfolio,
+            analyze=analyze, warm_start=warm_start, portfolio=portfolio,
         )
         self.requirement = requirement
         self.channel = channel
@@ -648,74 +576,6 @@ class AnchorPlacementExplorer(ExplorerBase):
             energy=None,
             localization=loc,
             objective_exprs=objective_exprs,
-        )
-
-
-class ArchitectureExplorer(DataCollectionExplorer):
-    """Deprecated alias of :class:`DataCollectionExplorer`.
-
-    Kept so pre-runtime call sites (including positional ``encoder``)
-    continue to work; new code should use :func:`repro.explore` or
-    :class:`DataCollectionExplorer`.
-    """
-
-    def __init__(
-        self,
-        template: Template,
-        library: Library,
-        requirements: RequirementSet,
-        encoder: RoutingEncoder | None = None,
-        solver=None,
-        channel=None,
-        reach_k_star: int = 20,
-        **options,
-    ) -> None:
-        warnings.warn(
-            "ArchitectureExplorer is deprecated and no longer exported "
-            "from the top-level repro package; use repro.explore() (or "
-            "repro.JobRequest for the service surface), or import "
-            "repro.core.DataCollectionExplorer directly — see "
-            "docs/formulation.md for the migration",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            template, library, requirements,
-            encoder=encoder, solver=solver, channel=channel,
-            reach_k_star=reach_k_star, **options,
-        )
-
-
-class LocalizationExplorer(AnchorPlacementExplorer):
-    """Deprecated alias of :class:`AnchorPlacementExplorer`.
-
-    Kept so pre-runtime call sites (including positional ``channel`` /
-    ``k_star``) continue to work; new code should use
-    :func:`repro.explore` or :class:`AnchorPlacementExplorer`.
-    """
-
-    def __init__(
-        self,
-        template: Template,
-        library: Library,
-        requirement: ReachabilityRequirement,
-        channel: ChannelModel,
-        k_star: int = 20,
-        solver=None,
-        **options,
-    ) -> None:
-        warnings.warn(
-            "LocalizationExplorer is deprecated and no longer exported "
-            "from the top-level repro package; use repro.explore() (or "
-            "repro.JobRequest for the service surface), or import "
-            "repro.core.AnchorPlacementExplorer directly — see "
-            "docs/formulation.md for the migration",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            template, library, requirement, channel,
-            k_star=k_star, solver=solver, **options,
         )
 
 

@@ -51,9 +51,7 @@ def build_explorer(
     k_star: int | None = None,
     reach_k_star: int = 20,
     cache: EncodeCache | None = None,
-    presolve: str = "off",
     warm_start: bool = False,
-    lazy_cuts: bool = False,
     portfolio: bool = False,
     failures: str | None = None,
     plan=None,
@@ -86,8 +84,7 @@ def build_explorer(
         return AnchorPlacementExplorer(
             template, library, requirements, channel,
             k_star=20 if k_star is None else k_star,
-            solver=solver, cache=cache, presolve=presolve,
-            warm_start=warm_start, lazy_cuts=lazy_cuts,
+            solver=solver, cache=cache, warm_start=warm_start,
             portfolio=portfolio,
         )
     if isinstance(requirements, RequirementSet):
@@ -100,9 +97,8 @@ def build_explorer(
         explorer = DataCollectionExplorer(
             template, library, requirements,
             encoder=encoder, solver=solver, channel=channel,
-            reach_k_star=reach_k_star, cache=cache, presolve=presolve,
-            warm_start=warm_start, lazy_cuts=lazy_cuts,
-            portfolio=portfolio,
+            reach_k_star=reach_k_star, cache=cache,
+            warm_start=warm_start, portfolio=portfolio,
         )
         explorer.failures = failures
         explorer.floorplan = plan
@@ -209,8 +205,7 @@ def explore(
         template, library, requirements,
         encoder=encoder, solver=solver, channel=channel,
         k_star=k_star, reach_k_star=reach_k_star, cache=cache,
-        presolve=opts.presolve, warm_start=warm_start,
-        lazy_cuts=opts.lazy_cuts, portfolio=opts.portfolio,
+        warm_start=warm_start, portfolio=opts.portfolio,
         failures=opts.failures, plan=plan,
     )
     if previous is not None and warm_start:

@@ -222,13 +222,10 @@ def kstar_search(
         retry = opts.retry_policy()
     if opts.cache is False:
         cache = None
-    presolve = opts.presolve
     # Incremental re-solve rides the warm-start machinery: each rung
     # seeds from the previous rung's incumbent exactly as warm_start
     # does, on top of whatever cache entries the caller pre-seeded.
-    accel = (
-        opts.warm_start or opts.incremental, opts.lazy_cuts, opts.portfolio
-    )
+    accel = (opts.warm_start or opts.incremental, opts.portfolio)
     failures = opts.failures
     ladder = tuple(ladder)
     with span(
@@ -251,7 +248,6 @@ def kstar_search(
             retry=retry,
             checkpoint=checkpoint,
             resume=resume,
-            presolve=presolve,
             accel=accel,
             failures=failures,
         )
@@ -277,8 +273,7 @@ def _kstar_search_impl(
     retry: RetryPolicy | None,
     checkpoint: str | Path | None,
     resume: bool,
-    presolve: str = "off",
-    accel: tuple[bool, bool, bool] = (False, False, False),
+    accel: tuple[bool, bool] = (False, False),
     failures: str | None = None,
 ) -> KStarSearchResult:
     ckpt: Checkpoint | None = None
@@ -335,7 +330,7 @@ def _kstar_search_impl(
             Trial(
                 _solve_rung,
                 (make_explorer, k, objective, cache, budget, retry,
-                 presolve, accel, failures),
+                 accel, failures),
                 label=f"kstar:K={k}",
             )
             for k in pending
@@ -379,8 +374,7 @@ def _kstar_search_impl(
                     deadline_hit = True
                     return
                 trial = _solve_rung(make_explorer, k, objective, cache,
-                                    budget, retry, presolve, accel,
-                                    failures,
+                                    budget, retry, accel, failures,
                                     previous_architecture=previous)
                 if trial.result.feasible:
                     previous = getattr(trial.result, "architecture", None)
@@ -414,26 +408,21 @@ def _solve_rung(
     cache: EncodeCache | None,
     budget: DeadlineBudget | None = None,
     retry: RetryPolicy | None = None,
-    presolve: str = "off",
-    accel: tuple[bool, bool, bool] = (False, False, False),
+    accel: tuple[bool, bool] = (False, False),
     failures: str | None = None,
     previous_architecture=None,
 ) -> KStarTrial:
-    warm_start, lazy_cuts, portfolio = accel
+    warm_start, portfolio = accel
     with span("kstar.rung", k=k) as rung_span:
         explorer = make_explorer(k)
         if cache is not None and getattr(explorer, "cache", None) is None:
             explorer.cache = cache
-        if presolve != "off" and getattr(explorer, "presolve", "off") == "off":
-            explorer.presolve = presolve
         if failures is not None and getattr(explorer, "failures", None) is None:
             # Every rung solves failure-aware; the rung's own floorplan
             # (set by make_explorer) feeds the geometric families.
             explorer.failures = failures
         if warm_start and not getattr(explorer, "warm_start", False):
             explorer.warm_start = True
-        if lazy_cuts and not getattr(explorer, "lazy_cuts", False):
-            explorer.lazy_cuts = True
         if portfolio and not getattr(explorer, "portfolio", False):
             explorer.portfolio = True
         if previous_architecture is not None and (

@@ -30,9 +30,6 @@ from typing import Any
 
 from repro.resilience.policy import DeadlineBudget, RetryPolicy
 
-#: Bump when the serialized options layout changes incompatibly.
-OPTIONS_SCHEMA_VERSION = 1
-
 #: The deprecated per-function keywords :func:`resolve_options` accepts.
 LEGACY_OPTION_KEYS = (
     "deadline_s",
@@ -73,17 +70,10 @@ class SolveOptions:
     trace: str | None = None
     #: Prometheus-text metrics target, consumed by the transport.
     metrics: str | None = None
-    #: Presolve mode applied to every model before it reaches a solver:
-    #: ``"off"`` (default), ``"reduce"`` (transformations only) or
-    #: ``"full"`` (transformations + symmetry breaking).
-    presolve: str = "off"
     #: Seed every exact solve with the greedy primal heuristic's
     #: feasible topology (:mod:`repro.accel`); in the kstar ladder each
     #: rung additionally reuses the previous rung's incumbent.
     warm_start: bool = False
-    #: Solve through the lazy-constraint loop: link-quality rows are
-    #: deferred, violated ones separated and re-added round by round.
-    lazy_cuts: bool = False
     #: Race the anytime tabu synthesizer against the exact solve and
     #: take the first acceptable incumbent (the exact result still wins
     #: when it finishes in time).
@@ -103,11 +93,6 @@ class SolveOptions:
     failures: str | None = None
 
     def __post_init__(self) -> None:
-        if self.presolve not in ("off", "reduce", "full"):
-            raise ValueError(
-                f"presolve must be 'off', 'reduce' or 'full', "
-                f"got {self.presolve!r}"
-            )
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative")
         if self.max_retries is not None and self.max_retries < 0:

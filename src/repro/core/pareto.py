@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.presolve import presolve as run_presolve
 from repro.core.explorer import ExplorerBase
 from repro.core.options import SolveOptions, resolve_options
 from repro.core.results import SynthesisResult
@@ -221,26 +220,20 @@ def explore_pareto(
                 )
 
     original_solver = explorer.solver
-    original_presolve = getattr(explorer, "presolve", "off")
     original_accel = (
         getattr(explorer, "warm_start", False),
-        getattr(explorer, "lazy_cuts", False),
         getattr(explorer, "portfolio", False),
     )
     original_failures = getattr(explorer, "failures", None)
     original_seed = getattr(explorer, "warm_start_architecture", None)
     if budget is not None or retry is not None:
         explorer.solver = _resilient(original_solver, budget, retry)
-    if opts.presolve != "off" and original_presolve == "off":
-        explorer.presolve = opts.presolve
     if opts.warm_start or opts.incremental:
         # Incremental mode rides the warm-start machinery: sweep points
         # re-use the caller's pre-seeded cache, and sequential sweeps
         # additionally chain each point's architecture into the next
         # solve's MILP warm start.
         explorer.warm_start = True
-    if opts.lazy_cuts:
-        explorer.lazy_cuts = True
     if opts.portfolio:
         explorer.portfolio = True
     if opts.failures is not None and original_failures is None:
@@ -265,9 +258,7 @@ def explore_pareto(
             return front
     finally:
         explorer.solver = original_solver
-        explorer.presolve = original_presolve
-        (explorer.warm_start, explorer.lazy_cuts,
-         explorer.portfolio) = original_accel
+        explorer.warm_start, explorer.portfolio = original_accel
         explorer.failures = original_failures
         explorer.warm_start_architecture = original_seed
 
@@ -447,12 +438,6 @@ def _solve_budget(
             built.objective_exprs[secondary] <= budget * (1 + 1e-9),
             name=f"pareto:{secondary}_budget",
         )
-        if built.presolve is not None:
-            # The budget row just mutated the model, so the presolve
-            # from build() is stale; redo it with the row included.
-            built.presolve = run_presolve(
-                built.model, mode=built.presolve.report.mode
-            )
         solution = explorer._solve_built(built)
         stats.timings.add("solve", solution.solve_time)
         point_span.set_attribute("status", solution.status.name)

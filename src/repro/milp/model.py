@@ -123,9 +123,6 @@ class Model:
         #: backends may exploit hints but must stay correct ignoring
         #: them, and must re-validate anything a hint claims.  Known keys:
         #:
-        #: ``objective_lower_bound`` (float)
-        #:     Proven lower bound on the minimized objective, in user
-        #:     space (presolve writes this).
         #: ``warm_start`` (dict)
         #:     A candidate assignment over *this* model's variable space:
         #:     ``{"x": sequence of len(variables) floats,
@@ -269,9 +266,9 @@ class Model:
         The copy shares this model's variable handles (immutable, same
         index space) and objective, and starts from a snapshot of its
         hints; its constraint list holds only the rows ``defer`` did
-        *not* select.  The deferred rows are returned so a lazy-cut loop
-        can separate violated ones and :meth:`add` them back — their
-        variable indices stay valid in the copy.
+        *not* select.  The deferred rows are returned, and their variable
+        indices stay valid in the copy, so a caller may :meth:`add` them
+        back.
         """
         clone = Model(f"{self.name}:relaxed")
         clone._vars = list(self._vars)

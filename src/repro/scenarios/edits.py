@@ -230,7 +230,7 @@ def _apply_wall_change(
             changed_edges=(), walls=edited,
         )
     affected = _pairs_crossing(scenario.template.nodes, edited)
-    new_template = _patched_template(
+    new_template, changed_edges = _patched_template(
         scenario, scenario.template.nodes, new_channel, affected
     )
     new_scenario = replace(
@@ -239,8 +239,7 @@ def _apply_wall_change(
     )
     return new_scenario, EditDelta(
         edit, template_changed=True, pathloss_changed=True,
-        changed_edges=_edge_diff(scenario.template, new_template),
-        walls=edited,
+        changed_edges=changed_edges, walls=edited,
     )
 
 
@@ -274,7 +273,7 @@ def _apply_move_node(
         (min(i, node_id), max(i, node_id))
         for i in range(len(new_nodes)) if i != node_id
     ]
-    new_template = _patched_template(
+    new_template, changed_edges = _patched_template(
         scenario, new_nodes, _require_multiwall(scenario), affected
     )
     new_scenario = replace(
@@ -282,8 +281,7 @@ def _apply_move_node(
     )
     return new_scenario, EditDelta(
         edit, template_changed=True, pathloss_changed=True,
-        changed_edges=_edge_diff(scenario.template, new_template),
-        moved_node=node_id,
+        changed_edges=changed_edges, moved_node=node_id,
     )
 
 
@@ -350,8 +348,9 @@ def _patched_template(
     new_nodes: list[NetworkNode],
     new_channel: MultiWallModel,
     affected: list[tuple[int, int]],
-) -> Template:
-    """The edited template, equal to a cold rebuild edge for edge.
+) -> tuple[Template, tuple[tuple[int, int, float | None, float | None], ...]]:
+    """The edited template, equal to a cold rebuild edge for edge, and
+    its changed directed links.
 
     Starts from the old template's per-pair path losses, recomputes only
     the affected pairs against the new channel, then re-emits every
@@ -359,16 +358,20 @@ def _patched_template(
     (pairs ascending, forward direction before reverse) — so
     ``list(patched.edges())`` equals ``list(rebuilt.edges())`` exactly,
     including float bits and insertion order.
+
+    Every other pair keeps its path loss and both end nodes, so only the
+    affected pairs can change: the changed links (the
+    :attr:`EditDelta.changed_edges` tuples, sorted by ``(u, v)``) are
+    read off those pairs alone.
     """
     cutoff = scenario.max_link_pl_db
     assert cutoff is not None
     if not new_channel.is_symmetric():
         raise ValueError("patched templates require a symmetric channel")
-    pair_pl: dict[tuple[int, int], float] = {}
-    for u, v, pl in scenario.template.edges():
-        # The link rule may admit only one direction of a pair (e.g.
-        # relay -> sink), so key by unordered pair, not by u < v edges.
-        pair_pl[(min(u, v), max(u, v))] = pl
+    old_links = {(u, v): pl for u, v, pl in scenario.template.edges()}
+    # The link rule may admit only one direction of a pair (e.g.
+    # relay -> sink), so key by unordered pair, not by u < v edges.
+    pair_pl = {(min(u, v), max(u, v)): pl for (u, v), pl in old_links.items()}
     if affected:
         a_xy = np.array(
             [new_nodes[i].location.as_tuple() for i, _ in affected]
@@ -392,21 +395,20 @@ def _patched_template(
             template.set_link(i, j, pl)
         if rule(new_nodes[j], new_nodes[i]):
             template.set_link(j, i, pl)
-    return template
-
-
-def _edge_diff(
-    old: Template, new: Template
-) -> tuple[tuple[int, int, float | None, float | None], ...]:
-    old_edges = {(u, v): w for u, v, w in old.edges()}
-    new_edges = {(u, v): w for u, v, w in new.edges()}
-    out = []
-    for key in sorted(set(old_edges) | set(new_edges)):
-        w_old = old_edges.get(key)
-        w_new = new_edges.get(key)
-        if w_old != w_new:
-            out.append((key[0], key[1], w_old, w_new))
-    return tuple(out)
+    changed: list[tuple[int, int, float | None, float | None]] = []
+    for i, j in affected:
+        new_pl = pair_pl.get((i, j))
+        for u, v in ((i, j), (j, i)):
+            w_old = old_links.get((u, v))
+            w_new = (
+                new_pl
+                if new_pl is not None and rule(new_nodes[u], new_nodes[v])
+                else None
+            )
+            if w_old != w_new:
+                changed.append((u, v, w_old, w_new))
+    changed.sort(key=lambda change: (change[0], change[1]))
+    return template, tuple(changed)
 
 
 # -- component / requirement edits --------------------------------------------

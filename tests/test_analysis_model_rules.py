@@ -367,7 +367,7 @@ def _reference_unused_variable(rule, model):
 
 
 def _reference_loose_big_m(rule, model):
-    from repro.analysis.presolve import propagated_bounds
+    from repro.analysis.propagation import propagated_bounds
 
     n = len(model.variables)
     # Propagation over rows that reference foreign variables would index
@@ -589,16 +589,15 @@ class TestDifferential:
 
 def _count_propagation(monkeypatch):
     """Record each propagated_bounds call (one entry per call)."""
-    # The package, not the ``presolve`` function repro.analysis exports.
-    package = importlib.import_module("repro.analysis.presolve")
+    module = importlib.import_module("repro.analysis.propagation")
     calls = []
-    real = package.propagated_bounds
+    real = module.propagated_bounds
 
     def counted(model, **kwargs):
         calls.append(1)
         return real(model, **kwargs)
 
-    monkeypatch.setattr(package, "propagated_bounds", counted)
+    monkeypatch.setattr(module, "propagated_bounds", counted)
     return calls
 
 

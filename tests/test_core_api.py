@@ -66,6 +66,21 @@ class TestJobRequestWire:
         with pytest.raises(ValueError, match="unknown job request field"):
             JobRequest.from_dict({"kind": "kstar", "priority": 3})
 
+    @pytest.mark.parametrize("field", ["presolve", "lazy_cuts"])
+    def test_retired_option_fields_are_rejected(self, field):
+        value = "off" if field == "presolve" else False
+        with pytest.raises(ValueError, match=f"unknown option field.*{field}"):
+            SolveOptions.from_dict({field: value})
+
+    def test_version_one_job_is_rejected_by_version(self):
+        payload = {
+            "schema_version": 1,
+            "kind": "kstar",
+            "options": {"presolve": "off", "lazy_cuts": False},
+        }
+        with pytest.raises(ValueError, match="unsupported job schema_version 1"):
+            JobRequest.from_dict(payload)
+
 
 class TestJobRequestRun:
     def test_kstar_run_and_envelope_round_trip(self, tmp_path):

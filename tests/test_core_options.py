@@ -1,7 +1,6 @@
 """Tests for :class:`SolveOptions` and legacy-keyword normalization."""
 
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -22,16 +21,14 @@ class TestSolveOptions:
         assert opts.cache is True
         assert opts.resume is False
         assert opts.warm_start is False
-        assert opts.lazy_cuts is False
         assert opts.portfolio is False
         assert opts == DEFAULT_OPTIONS
 
     def test_accel_flags_round_trip(self):
-        opts = SolveOptions(warm_start=True, lazy_cuts=True, portfolio=True)
+        opts = SolveOptions(warm_start=True, portfolio=True)
         assert SolveOptions.from_dict(opts.to_dict()) == opts
         payload = opts.to_dict()
         assert payload["warm_start"] is True
-        assert payload["lazy_cuts"] is True
         assert payload["portfolio"] is True
 
     def test_incremental_flag_round_trips(self):

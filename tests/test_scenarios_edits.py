@@ -107,6 +107,62 @@ class TestPatchedTemplateParity:
             assert w_old != w_new
 
 
+def _edge_diff(old, new):
+    """Every directed link whose weight differs between two templates
+    (``None`` for an absent link), sorted by ``(u, v)``: the full-diff
+    oracle for ``EditDelta.changed_edges``."""
+    old_edges = {(u, v): w for u, v, w in old.edges()}
+    new_edges = {(u, v): w for u, v, w in new.edges()}
+    out = []
+    for key in sorted(set(old_edges) | set(new_edges)):
+        w_old = old_edges.get(key)
+        w_new = new_edges.get(key)
+        if w_old != w_new:
+            out.append((key[0], key[1], w_old, w_new))
+    return tuple(out)
+
+
+class TestChangedEdges:
+    """``changed_edges`` read off the patched pairs equals a full diff."""
+
+    @pytest.mark.parametrize("name,edit_text", [
+        ("campus::0", "add-wall:30,5,30,25,brick"),
+        ("campus::0", "remove-wall:0"),
+        ("campus::0", "move-node:7,30.0,15.0"),
+        ("multifloor:floors=2,rooms_x=3:0", "add-wall:10,3,10,11,concrete"),
+        ("multifloor:floors=2,rooms_x=3:0", "remove-wall:2"),
+        ("multifloor:floors=2,rooms_x=3:0", "move-node:3,20.0,20.0"),
+        ("materials::1", "move-node:5,30.0,14.0"),
+        ("reqmix::0", "add-wall:25,2,25,20,glass"),
+    ])
+    def test_matches_the_full_diff(self, name, edit_text):
+        scenario = default_registry().generate(name)
+        edited, delta = apply_edit(scenario, parse_edit(edit_text))
+        assert delta.changed_edges
+        assert delta.changed_edges == _edge_diff(
+            scenario.template, edited.template
+        )
+
+    def test_mixed_chain_matches_per_step(self):
+        scenario = default_registry().generate("campus::0")
+        edits = [parse_edit(text) for text in (
+            "add-wall:30,5,30,25,brick",
+            "set-min-snr:22",
+            "move-node:7,30.0,15.0",
+            "remove-wall:0",
+            "swap-device:relay-std=relay-lp",
+            "add-wall:30,5,30,25,brick",
+            "move-node:7,12.0,8.0",
+        )]
+        current = scenario
+        for edit in edits:
+            edited, delta = apply_edit(current, edit)
+            assert delta.changed_edges == _edge_diff(
+                current.template, edited.template
+            ), edit.spec()
+            current = edited
+
+
 class TestEditErrors:
     def test_remove_wall_out_of_range(self):
         scenario = default_registry().generate("campus::0")
